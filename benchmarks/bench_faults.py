@@ -32,19 +32,11 @@ import numpy as np
 from conftest import run_once
 
 from repro.core.divergence import ValueDeviation
-from repro.core.priority import AreaPriority
-from repro.experiments.faults import (
-    blackout_graceful,
-    empty_plan_is_baseline,
-    loss_monotone,
-    render_faults,
-    retry_recovers,
-    run_faults,
-)
+from repro.experiments.faults import FAULTS
+from repro.experiments.harness import make_policy, render, run
 from repro.experiments.runner import RunSpec, run_policy
 from repro.faults.plan import FaultPlan, LossRule
 from repro.network.bandwidth import ConstantBandwidth
-from repro.policies.cooperative import CooperativePolicy
 from repro.workloads.synthetic import uniform_random_walk
 
 #: Max guarded / unguarded wall-clock ratio with an inert fault plan.
@@ -58,27 +50,21 @@ def test_faults_matrix_verdicts(benchmark):
     cap keeps the workload in the sparse regime where loss actually
     hurts (see ``repro.experiments.faults``).
     """
-    points = run_once(benchmark, run_faults, num_sources=8,
-                      objects_per_source=4, cache_bandwidth=6.0,
-                      source_bandwidth=1.5, warmup=50.0, measure=150.0)
+    points = run_once(benchmark, run, FAULTS, sources=8, objects=4,
+                      cache_bandwidth=6.0, source_bandwidth=1.5,
+                      warmup=50.0, measure=150.0)
     print()
-    print(render_faults(points, "E12 (reduced): faults matrix"))
+    print(render(FAULTS, points, "E12 (reduced): faults matrix"))
     assert len(points) == 10  # 5 scenarios x 2 topologies
-    assert empty_plan_is_baseline(points), \
-        "an explicit empty FaultPlan perturbed a fault-free run"
-    assert loss_monotone(points), \
-        "divergence decreased with a higher loss rate"
-    assert retry_recovers(points), \
-        "reliable delivery won back less than half the loss gap"
-    assert blackout_graceful(points), \
-        "cooperative + TTL degraded worse than uniform in the blackout"
+    for verdict in FAULTS.verdicts:
+        assert verdict.judge(points) == "yes", verdict.label
 
 
 def _cooperative_wall(workload, spec):
-    policy = CooperativePolicy(
-        ConstantBandwidth(24.0),
+    policy = make_policy(
+        "cooperative", ConstantBandwidth(24.0),
         [ConstantBandwidth(4.0) for _ in range(workload.num_sources)],
-        priority_fn=AreaPriority())
+        workload.num_objects)
     start = time.perf_counter()
     result = run_policy(workload, ValueDeviation(), policy, spec)
     return time.perf_counter() - start, result.weighted_divergence

@@ -23,16 +23,11 @@ import time
 
 from conftest import run_once
 
+from repro.experiments.harness import render, run
+from repro.experiments.multicast import MULTICAST
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.messages import RefreshMessage
 from repro.network.topology import StarTopology
-from repro.experiments.multicast import (
-    controls_invariant,
-    multicast_dominates,
-    render_multicast,
-    run_multicast,
-    unicast_tie_at_r1,
-)
 
 #: Max refactored / hand-inlined wall-clock ratio for unicast sends.
 PLANE_OVERHEAD_LIMIT = 1.1
@@ -41,19 +36,14 @@ _SENDS = 40_000
 
 def test_multicast_matrix_verdicts(benchmark):
     """Reduced E14 matrix: all three structural verdicts must hold."""
-    points = run_once(benchmark, run_multicast, replications=(1, 2),
-                      num_sources=8, objects_per_source=4,
-                      cache_bandwidth=8.0, source_bandwidth=4.0,
-                      warmup=40.0, measure=160.0)
+    points = run_once(benchmark, run, MULTICAST, replications=(1, 2),
+                      sources=8, objects=4, cache_bandwidth=8.0,
+                      source_bandwidth=4.0, warmup=40.0, measure=160.0)
     print()
-    print(render_multicast(points, "E14 (reduced): multicast matrix"))
+    print(render(MULTICAST, points, "E14 (reduced): multicast matrix"))
     assert len(points) == 4  # 2 planes x 2 replications
-    assert unicast_tie_at_r1(points), \
-        "multicast diverged from unicast with no sibling replicas"
-    assert multicast_dominates(points), \
-        "multicast was not strictly better per unit at replication 2"
-    assert controls_invariant(points), \
-        "the delivery plane leaked into CGM or the ideal curve"
+    for verdict in MULTICAST.verdicts:
+        assert verdict.judge(points) == "yes", verdict.label
 
 
 def _make_star():

@@ -30,13 +30,8 @@ from dataclasses import asdict
 
 from conftest import run_once
 
-from repro.experiments.netcond import (
-    graceful_degradation,
-    outage_degrades,
-    run_netcond,
-    run_netcond_scale,
-    steady_matches_constant,
-)
+from repro.experiments.harness import run
+from repro.experiments.netcond import NETCOND, run_netcond_scale
 
 #: Max trace-driven / constant wall-clock ratio at m = 10^5.
 TRACE_OVERHEAD_LIMIT = 2.0
@@ -53,16 +48,12 @@ def test_netcond_matrix_verdicts(benchmark):
     cooperative steady divergence sits at exactly 0.0, and the
     degradation *ratio* behind verdict 3 is undefined.
     """
-    points = run_once(benchmark, run_netcond, num_sources=8,
-                      objects_per_source=4, cache_bandwidth=6.0,
-                      source_bandwidth=1.5, warmup=50.0, measure=150.0)
+    points = run_once(benchmark, run, NETCOND, sources=8, objects=4,
+                      cache_bandwidth=6.0, source_bandwidth=1.5,
+                      warmup=50.0, measure=150.0)
     assert len(points) == 8  # 4 scenarios x 2 topologies
-    assert steady_matches_constant(points), \
-        "steady trace diverged from the ConstantBandwidth control arm"
-    assert outage_degrades(points), \
-        "an outage left some policy's divergence below its steady run"
-    assert graceful_degradation(points), \
-        "cooperative degraded worse than uniform under the outage"
+    for verdict in NETCOND.verdicts:
+        assert verdict.judge(points) == "yes", verdict.label
 
 
 def _run_scale():

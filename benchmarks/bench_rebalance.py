@@ -31,18 +31,11 @@ import numpy as np
 from conftest import run_once
 
 from repro.core.divergence import ValueDeviation
-from repro.core.priority import AreaPriority
-from repro.experiments.rebalance import (
-    adaptive_beats_static,
-    adaptive_migrates,
-    inert_matches_static,
-    render_rebalance,
-    run_rebalance,
-)
+from repro.experiments.harness import make_policy, render, run
+from repro.experiments.rebalance import REBALANCE
 from repro.experiments.runner import RunSpec, run_policy
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.topology import TopologyConfig
-from repro.policies.cooperative import CooperativePolicy
 from repro.rebalance import RebalanceConfig
 from repro.workloads.hotspot import moving_hotspot
 
@@ -52,24 +45,20 @@ MACHINERY_OVERHEAD_LIMIT = 1.2
 
 def test_rebalance_sweep_verdicts(benchmark):
     """Reduced E13 sweep: all three structural verdicts must hold."""
-    points = run_once(benchmark, run_rebalance, cache_counts=(1, 2, 4),
+    points = run_once(benchmark, run, REBALANCE, num_caches=(1, 2, 4),
                       warmup=50.0, measure=200.0)
     print()
-    print(render_rebalance(points, "E13 (reduced): rebalance sweep"))
+    print(render(REBALANCE, points, "E13 (reduced): rebalance sweep"))
     assert len(points) == 3
-    assert inert_matches_static(points), \
-        "the armed-but-idle rebalancer perturbed the static run"
-    assert adaptive_migrates(points), \
-        "the adaptive rebalancer never moved a shard"
-    assert adaptive_beats_static(points), \
-        "adaptive rebalancing lost to static sharding"
+    for verdict in REBALANCE.verdicts:
+        assert verdict.judge(points) == "yes", verdict.label
 
 
 def _cooperative_wall(workload, spec, rebalance):
-    policy = CooperativePolicy(
-        ConstantBandwidth(24.0),
+    policy = make_policy(
+        "cooperative", ConstantBandwidth(24.0),
         [ConstantBandwidth(4.0) for _ in range(workload.num_sources)],
-        priority_fn=AreaPriority(), rebalance=rebalance)
+        workload.num_objects, rebalance=rebalance)
     start = time.perf_counter()
     result = run_policy(workload, ValueDeviation(), policy, spec)
     return time.perf_counter() - start, result.weighted_divergence

@@ -9,7 +9,9 @@ Usage (installed package)::
     python -m repro fig5 --fluctuating
     python -m repro fig6 --sources 10 --fractions 0.1 0.5 0.9
     python -m repro multicache --num-caches 1 2 4 --topology sharded
+    python -m repro netcond --scenarios steady outage
     python -m repro faults --scenarios lossy-10 crash-restart
+    python -m repro rebalance --num-caches 1 2 4
     python -m repro multicast --replications 1 2 4
     python -m repro readmodel --replication 3 --read-rate 0.5
     python -m repro quickstart            # the README comparison
@@ -26,31 +28,20 @@ optimization in this repo (see DESIGN.md Sec 8 for how to read it).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Callable, Sequence
 
+from repro.experiments.faults import FAULTS
 from repro.experiments.fig4 import Fig4Config, run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import run_fig6
+from repro.experiments.harness import Experiment, Param, render, run, timing
 from repro.experiments.multicache import render_multicache, run_multicache
-from repro.experiments.netcond import (
-    SCENARIOS,
-    TOPOLOGIES,
-    render_netcond,
-    run_netcond,
-)
-from repro.experiments.faults import render_faults, run_faults
-from repro.experiments.multicast import (
-    REPLICATIONS,
-    render_multicast,
-    run_multicast,
-)
+from repro.experiments.multicast import MULTICAST
+from repro.experiments.netcond import NETCOND
 from repro.experiments.params import best_cell, run_parameter_grid
-from repro.experiments.rebalance import (
-    CACHE_COUNTS,
-    render_rebalance,
-    run_rebalance,
-)
+from repro.experiments.rebalance import REBALANCE
 from repro.experiments.readmodel import render_readmodel, run_readmodel
 from repro.experiments.scale import render_scale, run_scale
 from repro.experiments.tables import (
@@ -64,18 +55,20 @@ from repro.experiments.validation import (
     run_skewed_validation,
     run_uniform_validation,
 )
-from repro.faults.plan import FAULT_SCENARIOS
 from repro.network.delivery import DELIVERY_MODES
+
+
+def _add_param(parser: argparse.ArgumentParser, param: Param) -> None:
+    default = list(param.default) if param.nargs else param.default
+    parser.add_argument(param.flag, type=param.type, nargs=param.nargs,
+                        choices=param.choices and list(param.choices),
+                        default=default, help=param.help)
 
 
 def _add_timing(parser: argparse.ArgumentParser, warmup: float,
                 measure: float) -> None:
-    parser.add_argument("--warmup", type=float, default=warmup,
-                        help="warm-up seconds discarded from measurement")
-    parser.add_argument("--measure", type=float, default=measure,
-                        help="measured window length in seconds")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="workload random seed")
+    for param in timing(warmup, measure):
+        _add_param(parser, param)
 
 
 def _add_workers(parser: argparse.ArgumentParser) -> None:
@@ -172,78 +165,28 @@ def _cmd_multicache(args: argparse.Namespace) -> str:
                 "uniform allocation, hot-shard workload")
 
 
-def _cmd_netcond(args: argparse.Namespace) -> str:
-    points = run_netcond(scenarios=tuple(args.scenarios),
-                         topologies=tuple(args.topologies),
-                         num_sources=args.sources,
-                         objects_per_source=args.objects,
-                         cache_bandwidth=args.cache_bandwidth,
-                         source_bandwidth=args.source_bandwidth,
-                         warmup=args.warmup, measure=args.measure,
-                         seed=args.seed, generator=args.generator,
-                         workers=args.workers)
-    return render_netcond(
-        points, "E11 network conditions: five policies under "
-                "trace-driven bandwidth (weighted divergence)")
+def _cmd_experiment(experiment: Experiment,
+                    args: argparse.Namespace) -> str:
+    kwargs = {axis.dest: tuple(getattr(args, axis.dest))
+              for axis in experiment.axes}
+    kwargs.update((param.name, getattr(args, param.name))
+                  for param in experiment.params)
+    points = run(experiment, workers=args.workers, **kwargs)
+    return render(experiment, points, experiment.title)
 
 
-def _cmd_faults(args: argparse.Namespace) -> str:
-    points = run_faults(scenarios=tuple(args.scenarios),
-                        topologies=tuple(args.topologies),
-                        num_sources=args.sources,
-                        objects_per_source=args.objects,
-                        cache_bandwidth=args.cache_bandwidth,
-                        source_bandwidth=args.source_bandwidth,
-                        warmup=args.warmup, measure=args.measure,
-                        seed=args.seed, generator=args.generator,
-                        rate_cap=args.rate_cap,
-                        retry_timeout=args.retry_timeout,
-                        retry_backoff=args.retry_backoff,
-                        retry_attempts=args.retry_attempts,
-                        feedback_ttl=args.feedback_ttl,
-                        workers=args.workers)
-    return render_faults(
-        points, "E12 fault injection: five policies under loss, crashes "
-                "and feedback blackouts (weighted divergence)")
-
-
-def _cmd_multicast(args: argparse.Namespace) -> str:
-    points = run_multicast(deliveries=tuple(args.deliveries),
-                           replications=tuple(args.replications),
-                           num_caches=args.num_caches,
-                           num_sources=args.sources,
-                           objects_per_source=args.objects,
-                           cache_bandwidth=args.cache_bandwidth,
-                           source_bandwidth=args.source_bandwidth,
-                           warmup=args.warmup, measure=args.measure,
-                           seed=args.seed, generator=args.generator,
-                           workers=args.workers)
-    return render_multicast(
-        points, "E14 multicast delivery: five policies x delivery plane "
-                "x replication (weighted divergence)")
-
-
-def _cmd_rebalance(args: argparse.Namespace) -> str:
-    points = run_rebalance(cache_counts=tuple(args.num_caches),
-                           num_sources=args.sources,
-                           objects_per_source=args.objects,
-                           cache_bandwidth=args.cache_bandwidth,
-                           source_bandwidth=args.source_bandwidth,
-                           num_phases=args.phases,
-                           hot_boost=args.hot_boost,
-                           rate_range=(args.rate_range[0],
-                                       args.rate_range[1]),
-                           interval=args.interval,
-                           max_moves=args.max_moves,
-                           saturation_queue=args.saturation_queue,
-                           peer_rate=args.peer_rate,
-                           warmup=args.warmup, measure=args.measure,
-                           seed=args.seed, generator=args.generator,
-                           workers=args.workers)
-    return render_rebalance(
-        points, "E13 shard rebalancing: static vs adaptive vs "
-                "distributed under a moving hotspot "
-                "(weighted divergence)")
+def _add_experiment(sub, experiment: Experiment) -> None:
+    """The subcommand generated from an experiment declaration."""
+    p = sub.add_parser(experiment.name, help=experiment.summary)
+    for axis in experiment.axes:
+        p.add_argument(axis.flag, type=None if axis.choices else int,
+                       choices=axis.choices and list(axis.choices),
+                       nargs="+", default=list(axis.values),
+                       help=axis.help)
+    for param in experiment.params:
+        _add_param(p, param)
+    _add_workers(p)
+    p.set_defaults(fn=functools.partial(_cmd_experiment, experiment))
 
 
 def _cmd_readmodel(args: argparse.Namespace) -> str:
@@ -418,136 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workers(p)
     p.set_defaults(fn=_cmd_multicache)
 
-    p = sub.add_parser("netcond",
-                       help="E11 network-condition matrix: five policies "
-                            "under steady/diurnal/bursty/outage traces")
-    p.add_argument("--scenarios", choices=list(SCENARIOS), nargs="+",
-                   default=list(SCENARIOS),
-                   help="bandwidth scenarios to run")
-    p.add_argument("--topologies", choices=list(TOPOLOGIES), nargs="+",
-                   default=list(TOPOLOGIES),
-                   help="cache layouts to run")
-    p.add_argument("--sources", type=int, default=16)
-    p.add_argument("--objects", type=int, default=8,
-                   help="objects per source")
-    p.add_argument("--cache-bandwidth", type=float, default=20.0,
-                   help="mean aggregate cache-side msgs/s (the scenario "
-                        "trace fluctuates around it)")
-    p.add_argument("--source-bandwidth", type=float, default=4.0,
-                   help="mean per-source msgs/s")
-    p.add_argument("--generator", choices=["vectorized", "legacy"],
-                   default="vectorized",
-                   help="workload sampling implementation")
-    _add_timing(p, warmup=100.0, measure=400.0)
-    _add_workers(p)
-    p.set_defaults(fn=_cmd_netcond)
-
-    p = sub.add_parser("faults",
-                       help="E12 fault-injection matrix: five policies "
-                            "under loss/crash/blackout plans, plus "
-                            "reliable-delivery and feedback-TTL arms")
-    p.add_argument("--scenarios", choices=list(FAULT_SCENARIOS),
-                   nargs="+", default=list(FAULT_SCENARIOS),
-                   help="fault scenarios to run")
-    p.add_argument("--topologies", choices=list(TOPOLOGIES), nargs="+",
-                   default=list(TOPOLOGIES),
-                   help="cache layouts to run")
-    p.add_argument("--sources", type=int, default=16)
-    p.add_argument("--objects", type=int, default=8,
-                   help="objects per source")
-    p.add_argument("--cache-bandwidth", type=float, default=12.0,
-                   help="aggregate cache-side msgs/s")
-    p.add_argument("--source-bandwidth", type=float, default=4.0,
-                   help="per-source msgs/s")
-    p.add_argument("--rate-cap", type=float, default=0.1,
-                   help="max per-object update rate (sparse updates are "
-                        "where loss hurts and retries help; see "
-                        "repro.experiments.faults)")
-    p.add_argument("--retry-timeout", type=float, default=3.0,
-                   help="seconds before the first retransmit in the "
-                        "reliable-delivery arm")
-    p.add_argument("--retry-backoff", type=float, default=2.0,
-                   help="multiplier on the timeout per further attempt")
-    p.add_argument("--retry-attempts", type=int, default=4,
-                   help="total sends per refresh, the original included")
-    p.add_argument("--feedback-ttl", type=float, default=40.0,
-                   help="source-side feedback staleness TTL in the "
-                        "graceful-degradation arm")
-    p.add_argument("--generator", choices=["vectorized", "legacy"],
-                   default="vectorized",
-                   help="workload sampling implementation")
-    _add_timing(p, warmup=100.0, measure=400.0)
-    _add_workers(p)
-    p.set_defaults(fn=_cmd_faults)
-
-    p = sub.add_parser("multicast",
-                       help="E14 multicast-delivery matrix: five policies "
-                            "x {unicast, multicast} x replication on a "
-                            "replicated layout")
-    p.add_argument("--deliveries", choices=list(DELIVERY_MODES),
-                   nargs="+", default=list(DELIVERY_MODES),
-                   help="delivery planes to run")
-    p.add_argument("--replications", type=int, nargs="+",
-                   default=list(REPLICATIONS),
-                   help="replication factors to sweep")
-    p.add_argument("--num-caches", type=int, default=4,
-                   help="cache nodes in the replicated layout")
-    p.add_argument("--sources", type=int, default=16)
-    p.add_argument("--objects", type=int, default=8,
-                   help="objects per source")
-    p.add_argument("--cache-bandwidth", type=float, default=12.0,
-                   help="aggregate cache-side msgs/s (keep the links "
-                        "saturated: an idle network hides the planes' "
-                        "cost difference)")
-    p.add_argument("--source-bandwidth", type=float, default=4.0,
-                   help="per-source msgs/s")
-    p.add_argument("--generator", choices=["vectorized", "legacy"],
-                   default="vectorized",
-                   help="workload sampling implementation")
-    _add_timing(p, warmup=100.0, measure=400.0)
-    _add_workers(p)
-    p.set_defaults(fn=_cmd_multicast)
-
-    p = sub.add_parser("rebalance",
-                       help="E13 shard-rebalancing sweep: static vs "
-                            "adaptive vs distributed allocation under "
-                            "a moving hotspot")
-    p.add_argument("--num-caches", type=int, nargs="+",
-                   default=list(CACHE_COUNTS),
-                   help="cache counts to sweep (1 runs the star "
-                        "control arm)")
-    p.add_argument("--sources", type=int, default=16)
-    p.add_argument("--objects", type=int, default=8,
-                   help="objects per source")
-    p.add_argument("--cache-bandwidth", type=float, default=24.0,
-                   help="aggregate cache-side msgs/s, split across "
-                        "cache links")
-    p.add_argument("--source-bandwidth", type=float, default=4.0,
-                   help="per-source msgs/s (also the hot sources' send "
-                        "ceiling)")
-    p.add_argument("--phases", type=int, default=4,
-                   help="hotspot phases over the horizon (the hot "
-                        "block advances by its own width each phase)")
-    p.add_argument("--hot-boost", type=float, default=25.0,
-                   help="update-rate multiplier on the hot block")
-    p.add_argument("--rate-range", type=float, nargs=2,
-                   default=[0.02, 0.12],
-                   help="uniform base update-rate range; keep it low "
-                        "enough that cold caches bank surplus")
-    p.add_argument("--interval", type=float, default=10.0,
-                   help="seconds between rebalance decision windows")
-    p.add_argument("--max-moves", type=int, default=2,
-                   help="migrations per decision window")
-    p.add_argument("--saturation-queue", type=int, default=2,
-                   help="windowed FIFO peak that flags a donor")
-    p.add_argument("--peer-rate", type=float, default=4.0,
-                   help="cache-to-cache peer link msgs/s")
-    p.add_argument("--generator", choices=["vectorized", "legacy"],
-                   default="vectorized",
-                   help="workload sampling implementation")
-    _add_timing(p, warmup=100.0, measure=400.0)
-    _add_workers(p)
-    p.set_defaults(fn=_cmd_rebalance)
+    for experiment in (NETCOND, FAULTS, MULTICAST, REBALANCE):
+        _add_experiment(sub, experiment)
 
     p = sub.add_parser("readmodel",
                        help="replicated read model: quorum/any-replica "

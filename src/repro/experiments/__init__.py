@@ -13,11 +13,8 @@ from repro.experiments.multicache import (
     run_multicache,
 )
 from repro.experiments.netcond import (
-    NetCondPoint,
     graceful_degradation,
     outage_degrades,
-    render_netcond,
-    run_netcond,
     run_netcond_scale,
     steady_matches_constant,
 )
@@ -60,7 +57,6 @@ __all__ = [
     "Fig5Point",
     "Fig6Point",
     "MultiCachePoint",
-    "NetCondPoint",
     "OverheadPoint",
     "ParameterCell",
     "ReadModelPoint",
@@ -81,10 +77,8 @@ __all__ = [
     "run_fig6",
     "predicted_overhead_fraction",
     "render_multicache",
-    "render_netcond",
     "render_scale",
     "run_multicache",
-    "run_netcond",
     "run_netcond_scale",
     "run_overhead_scaling",
     "run_parameter_grid",

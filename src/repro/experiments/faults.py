@@ -27,6 +27,19 @@ workload.  Structural verdicts:
    instead of letting their thresholds ratchet upward forever (which
    can leave plain cooperative *worse* than uniform).
 
+``rate_cap`` bounds the per-object update rate (``U(0, rate_cap)``).
+Loss hurts most -- and reliable delivery helps most -- when updates are
+sparse: a dropped refresh of a rarely-updating object leaves the cached
+copy stale until the *next* update re-arms the priority, which at rate
+``r`` is ``1/r`` away; the retransmit timer fixes it within
+``~retry_timeout``.  (At high update rates the best-effort protocol is
+self-healing -- the next update re-sends within moments -- and
+retransmits only displace better-prioritized refreshes.)
+``retry_timeout`` must exceed the typical queueing delay of the
+matrix's links, or retransmits of merely-queued refreshes feed a
+congestion spiral; the default bandwidth leaves the links loaded but
+uncongested, where a short timeout is safe and recovers fast.
+
 The ideal policy never builds a topology (it is the analytic reference
 curve), so faults cannot and should not perturb it; its column doubles
 as a sanity pin that the fault layer touches only the network.
@@ -34,77 +47,29 @@ as a sanity pin that the fault layer touches only the network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
-from repro.core.divergence import ValueDeviation
-from repro.core.priority import AreaPriority
-from repro.experiments.netcond import TOPOLOGIES, _make_policy
-from repro.experiments.parallel import (
-    ParallelRunner,
-    WorkloadSpec,
-    build_workload,
+from repro.experiments.harness import (
+    COMMON,
+    POLICIES,
+    Axis,
+    Cell,
+    Experiment,
+    Param,
+    Point,
+    Verdict,
+    axis_values,
+    by_cell,
+    cell_spec,
+    cell_workload,
+    run_arm,
 )
-from repro.experiments.runner import RunSpec, run_policy
+from repro.experiments.netcond import LAYOUTS, TOPOLOGIES
 from repro.faults.plan import FAULT_SCENARIOS, FaultPlan, fault_scenario
 from repro.faults.retry import RetryPolicy
-from repro.metrics.report import format_table
-from repro.network.bandwidth import ConstantBandwidth
-from repro.network.topology import TopologyConfig
-from repro.policies.cooperative import CooperativePolicy
-from repro.workloads.synthetic import uniform_random_walk
 
-POLICIES = ("cooperative", "uniform", "competitive", "cgm", "ideal")
 #: scenarios whose cells also run the cooperative + reliable-delivery arm
 LOSSY_SCENARIOS = ("lossy-1", "lossy-10")
-
-
-@dataclass
-class FaultPoint:
-    """All five policies at one (scenario, topology) grid cell."""
-
-    scenario: str
-    topology: str  #: "star" or "sharded-4"
-    divergence: dict[str, float] = field(default_factory=dict)
-    refreshes: dict[str, int] = field(default_factory=dict)
-    dropped: dict[str, int] = field(default_factory=dict)
-    #: scenario "none" re-run with an explicit empty plan (bitwise pin)
-    empty_plan_divergence: dict[str, float] = field(default_factory=dict)
-    empty_plan_refreshes: dict[str, int] = field(default_factory=dict)
-    #: cooperative + reliable delivery (lossy cells only)
-    retry_divergence: float | None = None
-    retry_retransmitted: int = 0
-    retry_duplicates: int = 0
-    #: cooperative + feedback TTL (none and feedback-blackout cells)
-    ttl_divergence: float | None = None
-
-
-@dataclass(frozen=True)
-class FaultCell:
-    """One picklable (scenario, topology) cell of the E12 matrix."""
-
-    scenario: str
-    topology: str
-    num_sources: int
-    objects_per_source: int
-    cache_bandwidth: float
-    source_bandwidth: float
-    warmup: float
-    measure: float
-    seed: int
-    generator: str
-    rate_cap: float
-    retry_timeout: float
-    retry_backoff: float
-    retry_attempts: int
-    feedback_ttl: float
-
-
-def _profiles(cell: FaultCell):
-    """Fresh constant profiles (per policy -- links consume them)."""
-    cache = ConstantBandwidth(cell.cache_bandwidth)
-    sources = [ConstantBandwidth(cell.source_bandwidth)
-               for _ in range(cell.num_sources)]
-    return cache, sources
 
 
 def _dropped_of(policy) -> int:
@@ -114,149 +79,66 @@ def _dropped_of(policy) -> int:
     return topology.telemetry()["dropped"]
 
 
-def _run_faults_cell(cell: FaultCell) -> FaultPoint:
-    """Worker-side cell: one seeded workload through all five policies."""
-    wspec = WorkloadSpec.make(
-        uniform_random_walk, cell.seed, num_sources=cell.num_sources,
-        objects_per_source=cell.objects_per_source,
-        horizon=cell.warmup + cell.measure, generator=cell.generator,
-        rate_range=(0.0, cell.rate_cap))
-    workload = build_workload(wspec)
-    metric = ValueDeviation()
-    topology = (None if cell.topology == "star"
-                else TopologyConfig(kind="sharded", num_caches=4))
-    plan = fault_scenario(cell.scenario, cell.warmup, cell.measure,
-                          seed=cell.seed)
-    spec = RunSpec(warmup=cell.warmup, measure=cell.measure,
-                   seed=cell.seed, topology=topology,
-                   faults=None if plan.is_empty() else plan)
-    point = FaultPoint(scenario=cell.scenario, topology=cell.topology)
-    for name in POLICIES:
-        cache_bw, source_bws = _profiles(cell)
-        policy = _make_policy(name, cache_bw, source_bws,
-                              workload.num_objects)
-        result = run_policy(workload, metric, policy, spec)
-        point.divergence[name] = result.weighted_divergence
-        point.refreshes[name] = result.refreshes
-        point.dropped[name] = _dropped_of(policy)
+def _faults_cell(cell: Cell) -> dict:
+    """Worker-side cell: one seeded workload through all five policies,
+    plus the side arms (``+empty-plan``, ``+retry``, ``+ttl``) the
+    scenario calls for."""
+    workload = cell_workload(cell, rate_range=(0.0, cell["rate_cap"]))
+    plan = fault_scenario(cell["scenario"], cell["warmup"],
+                          cell["measure"], seed=cell["seed"])
+    spec = cell_spec(cell, topology=LAYOUTS[cell["topology"]],
+                     faults=None if plan.is_empty() else plan)
 
-    if cell.scenario == "none":
+    def policy_arm(name, spec):
+        policy, result = run_arm(cell, workload, name, spec)
+        return {"divergence": result.weighted_divergence,
+                "refreshes": result.refreshes,
+                "dropped": _dropped_of(policy)}
+
+    arms = {name: policy_arm(name, spec) for name in POLICIES}
+    if cell["scenario"] == "none":
         # The machinery-off pin: an explicit empty plan must leave the
         # delivery paths instruction-identical to no plan at all.
         empty_spec = replace(spec, faults=FaultPlan())
         for name in POLICIES:
-            cache_bw, source_bws = _profiles(cell)
-            result = run_policy(
-                workload, metric,
-                _make_policy(name, cache_bw, source_bws,
-                             workload.num_objects),
-                empty_spec)
-            point.empty_plan_divergence[name] = result.weighted_divergence
-            point.empty_plan_refreshes[name] = result.refreshes
-
-    if cell.scenario in LOSSY_SCENARIOS:
+            arms[f"{name}+empty-plan"] = policy_arm(name, empty_spec)
+    if cell["scenario"] in LOSSY_SCENARIOS:
         retry_spec = replace(spec, retry=RetryPolicy(
-            timeout=cell.retry_timeout, backoff=cell.retry_backoff,
-            max_attempts=cell.retry_attempts))
-        cache_bw, source_bws = _profiles(cell)
-        policy = CooperativePolicy(cache_bw, source_bws,
-                                   priority_fn=AreaPriority())
-        result = run_policy(workload, metric, policy, retry_spec)
-        point.retry_divergence = result.weighted_divergence
+            timeout=cell["retry_timeout"], backoff=cell["retry_backoff"],
+            max_attempts=cell["retry_attempts"]))
+        policy, result = run_arm(cell, workload, "cooperative", retry_spec)
         telemetry = policy.topology.telemetry()
-        point.retry_retransmitted = telemetry["retransmitted"]
-        point.retry_duplicates = telemetry["duplicate_suppressed"]
-
-    if cell.scenario in ("none", "feedback-blackout"):
+        arms["cooperative+retry"] = {
+            "divergence": result.weighted_divergence,
+            "retransmitted": telemetry["retransmitted"],
+            "duplicates": telemetry["duplicate_suppressed"]}
+    if cell["scenario"] in ("none", "feedback-blackout"):
         # The "none" cells pin that the TTL arm costs nothing while
         # feedback actually flows (on_feedback keeps pushing the decay
         # deadline out of reach).
-        cache_bw, source_bws = _profiles(cell)
-        policy = CooperativePolicy(cache_bw, source_bws,
-                                   priority_fn=AreaPriority(),
-                                   feedback_ttl=cell.feedback_ttl)
-        result = run_policy(workload, metric, policy, spec)
-        point.ttl_divergence = result.weighted_divergence
-    return point
-
-
-def run_faults(scenarios: tuple[str, ...] = FAULT_SCENARIOS,
-               topologies: tuple[str, ...] = TOPOLOGIES,
-               num_sources: int = 16,
-               objects_per_source: int = 8,
-               cache_bandwidth: float = 12.0,
-               source_bandwidth: float = 4.0,
-               warmup: float = 100.0,
-               measure: float = 400.0,
-               seed: int = 0,
-               generator: str = "vectorized",
-               rate_cap: float = 0.1,
-               retry_timeout: float = 3.0,
-               retry_backoff: float = 2.0,
-               retry_attempts: int = 4,
-               feedback_ttl: float = 40.0,
-               workers: int = 1) -> list[FaultPoint]:
-    """Run the E12 scenario x topology matrix on one seeded workload.
-
-    The workload and bandwidth are identical across the matrix; only the
-    fault plan changes, so divergence differences are pure fault
-    effects.  ``workers`` > 1 fans the cells over a process pool with
-    bit-identical results (every worker regenerates the same seeded
-    workload and every drop draw is counter-keyed, not shared-RNG).
-
-    ``rate_cap`` bounds the per-object update rate (``U(0, rate_cap)``).
-    Loss hurts most -- and reliable delivery helps most -- when updates
-    are sparse: a dropped refresh of a rarely-updating object leaves the
-    cached copy stale until the *next* update re-arms the priority,
-    which at rate ``r`` is ``1/r`` away; the retransmit timer fixes it
-    within ``~retry_timeout``.  (At high update rates the best-effort
-    protocol is self-healing -- the next update re-sends within moments
-    -- and retransmits only displace better-prioritized refreshes.)
-
-    ``retry_timeout`` must exceed the typical queueing delay of the
-    matrix's links, or retransmits of merely-queued refreshes feed a
-    congestion spiral; the default bandwidth leaves the links loaded
-    but uncongested, where a short timeout is safe and recovers fast.
-    """
-    for scenario in scenarios:
-        if scenario not in FAULT_SCENARIOS:
-            raise ValueError(f"unknown fault scenario {scenario!r}")
-    for topology in topologies:
-        if topology not in TOPOLOGIES:
-            raise ValueError(f"unknown topology {topology!r}")
-    cells = [FaultCell(
-        scenario=scenario, topology=topology, num_sources=num_sources,
-        objects_per_source=objects_per_source,
-        cache_bandwidth=cache_bandwidth,
-        source_bandwidth=source_bandwidth, warmup=warmup,
-        measure=measure, seed=seed, generator=generator,
-        rate_cap=rate_cap, retry_timeout=retry_timeout,
-        retry_backoff=retry_backoff, retry_attempts=retry_attempts,
-        feedback_ttl=feedback_ttl)
-        for scenario in scenarios for topology in topologies]
-    return ParallelRunner(workers).map(_run_faults_cell, cells)
+        _, result = run_arm(cell, workload, "cooperative", spec,
+                            feedback_ttl=cell["feedback_ttl"])
+        arms["cooperative+ttl"] = {"divergence": result.weighted_divergence}
+    return arms
 
 
 # ----------------------------------------------------------------------
 # Structural verdicts
 # ----------------------------------------------------------------------
-def _by_cell(points: list[FaultPoint]) -> dict[tuple[str, str],
-                                               FaultPoint]:
-    return {(p.scenario, p.topology): p for p in points}
+def _scenarios(points: list[Point]) -> set:
+    return axis_values(points, "scenario")
 
 
-def empty_plan_is_baseline(points: list[FaultPoint]) -> bool:
+def empty_plan_is_baseline(points: list[Point]) -> bool:
     """True when every "none" cell's explicit-empty-plan re-run matched
     the fault-free run bit for bit for every policy."""
-    none = [p for p in points if p.scenario == "none"]
+    none = [p for p in points if p.axes["scenario"] == "none"]
     return bool(none) and all(
-        p.empty_plan_divergence == p.divergence
-        and p.empty_plan_refreshes == p.refreshes
-        for p in none)
+        p.arms.get(f"{name}+empty-plan") == p.arms.get(name)
+        for p in none for name in POLICIES)
 
 
-def loss_monotone(points: list[FaultPoint],
-                  tolerance: float = 0.02) -> bool:
+def loss_monotone(points: list[Point], tolerance: float = 0.02) -> bool:
     """True when divergence is non-decreasing in loss rate for every
     policy on every topology (none <= lossy-1 <= lossy-10).
 
@@ -265,47 +147,46 @@ def loss_monotone(points: list[FaultPoint],
     rate can shave a hair off a non-adaptive policy's divergence when
     the particular dropped refreshes happened to be near-stale anyway.
     """
-    cells = _by_cell(points)
+    cells = by_cell(points, "scenario", "topology")
     checked = 0
-    ladder = ("none", "lossy-1", "lossy-10")
-    for topology in {p.topology for p in points}:
+    ladder = ("none", *LOSSY_SCENARIOS)
+    for topology in axis_values(points, "topology"):
         rungs = [cells[(s, topology)] for s in ladder
                  if (s, topology) in cells]
         for lower, upper in zip(rungs, rungs[1:]):
             checked += 1
-            for name in upper.divergence:
-                floor = lower.divergence.get(name, 0.0) * (1.0 - tolerance)
-                if upper.divergence[name] < floor:
+            for name in POLICIES:
+                if name not in upper.arms:
+                    continue
+                floor = (lower.arms.get(name, {}).get("divergence", 0.0)
+                         * (1.0 - tolerance))
+                if upper.arms[name]["divergence"] < floor:
                     return False
     return checked > 0
 
 
-def retry_recovers(points: list[FaultPoint]) -> bool:
+def retry_recovers(points: list[Point]) -> bool:
     """True when reliable delivery wins back at least half of each lossy
     cell's loss-induced cooperative divergence gap (gap <= 0 passes:
     there was nothing to recover)."""
-    cells = _by_cell(points)
+    cells = by_cell(points, "scenario", "topology")
     checked = 0
     for (scenario, topology), lossy in cells.items():
-        if scenario not in LOSSY_SCENARIOS:
-            continue
-        if lossy.retry_divergence is None:
-            continue
-        baseline = cells.get(("none", topology))
-        if baseline is None:
+        if (scenario not in LOSSY_SCENARIOS
+                or "cooperative+retry" not in lossy.arms
+                or ("none", topology) not in cells):
             continue
         checked += 1
-        gap = (lossy.divergence["cooperative"]
-               - baseline.divergence["cooperative"])
-        if gap <= 0.0:
-            continue
-        if lossy.retry_divergence > (lossy.divergence["cooperative"]
-                                     - 0.5 * gap):
+        coop = lossy.arms["cooperative"]["divergence"]
+        gap = coop - cells[("none", topology)].arms["cooperative"][
+            "divergence"]
+        if gap > 0.0 and (lossy.arms["cooperative+retry"]["divergence"]
+                          > coop - 0.5 * gap):
             return False
     return checked > 0
 
 
-def blackout_graceful(points: list[FaultPoint],
+def blackout_graceful(points: list[Point],
                       tolerance: float = 0.02) -> bool:
     """True when cooperative-with-TTL holds its blackout divergence at
     or below static uniform allocation's on every topology.
@@ -316,61 +197,88 @@ def blackout_graceful(points: list[FaultPoint],
     decay drifts them back toward the uniform split, so the adaptive
     policy degrades no worse than the static one it would converge to.
     """
-    checked = 0
+    blackout = [p for p in points
+                if p.axes["scenario"] == "feedback-blackout"
+                and "cooperative+ttl" in p.arms]
+    return bool(blackout) and all(
+        p.arms["cooperative+ttl"]["divergence"]
+        <= p.arms["uniform"]["divergence"] * (1.0 + tolerance)
+        for p in blackout)
+
+
+def _extras(points: list[Point]) -> list[str]:
+    lines = []
     for p in points:
-        if p.scenario != "feedback-blackout" or p.ttl_divergence is None:
-            continue
-        checked += 1
-        if p.ttl_divergence > p.divergence["uniform"] * (1.0 + tolerance):
-            return False
-    return checked > 0
+        where = f"{p.axes['scenario']}/{p.axes['topology']}"
+        retry = p.arms.get("cooperative+retry")
+        if retry is not None:
+            lines.append(
+                f"  {where} + retry: divergence {retry['divergence']:.4g} "
+                f"({retry['retransmitted']} retransmits, "
+                f"{retry['duplicates']} duplicates suppressed)")
+        ttl = p.arms.get("cooperative+ttl")
+        if ttl is not None and p.axes["scenario"] != "none":
+            lines.append(f"  {where} + feedback TTL: divergence "
+                         f"{ttl['divergence']:.4g}")
+    return lines
 
 
-def render_faults(points: list[FaultPoint], title: str) -> str:
-    """The matrix as a table plus the four structural verdict lines."""
-    rows = [
-        [p.scenario, p.topology]
-        + [p.divergence.get(name, float("nan")) for name in POLICIES]
-        + [max(p.dropped.values(), default=0)]
-        for p in points
-    ]
-    table = format_table(["scenario", "layout", *POLICIES, "dropped"],
-                         rows, title=title)
-    extras = []
-    for p in points:
-        if p.retry_divergence is not None:
-            extras.append(
-                f"  {p.scenario}/{p.topology} + retry: divergence "
-                f"{p.retry_divergence:.4g} "
-                f"({p.retry_retransmitted} retransmits, "
-                f"{p.retry_duplicates} duplicates suppressed)")
-        if p.ttl_divergence is not None and p.scenario != "none":
-            extras.append(
-                f"  {p.scenario}/{p.topology} + feedback TTL: divergence "
-                f"{p.ttl_divergence:.4g}")
-    scenarios = {p.scenario for p in points}
-
-    def verdict(applicable: bool, ok: bool, bad: str) -> str:
-        # A partial --scenarios matrix simply lacks some verdicts.
-        if not applicable:
-            return "n/a (scenario not in this matrix)"
-        return "yes" if ok else bad
-
-    verdicts = [
-        ("empty fault plan == fault-free baseline (all policies, "
-         "bitwise): "
-         + verdict("none" in scenarios, empty_plan_is_baseline(points),
-                   "WARNING: diverged")),
-        ("divergence monotone non-decreasing in loss rate: "
-         + verdict(len(scenarios & {"none", *LOSSY_SCENARIOS}) >= 2,
-                   loss_monotone(points), "WARNING: violated")),
-        ("retries recover >= half the loss-induced gap: "
-         + verdict("none" in scenarios
-                   and bool(scenarios & set(LOSSY_SCENARIOS)),
-                   retry_recovers(points), "WARNING: violated")),
-        ("cooperative + TTL degrades no worse than uniform through the "
-         "blackout: "
-         + verdict("feedback-blackout" in scenarios,
-                   blackout_graceful(points), "WARNING: violated")),
-    ]
-    return "\n".join([table, *extras, *verdicts])
+FAULTS = Experiment(
+    name="faults",
+    title="E12 fault injection: five policies under loss, crashes and "
+          "feedback blackouts (weighted divergence)",
+    summary="E12 fault-injection matrix: five policies under "
+            "loss/crash/blackout plans, plus reliable-delivery and "
+            "feedback-TTL arms",
+    axes=(
+        Axis("scenario", "--scenarios", FAULT_SCENARIOS,
+             "fault scenarios to run", choices=FAULT_SCENARIOS),
+        Axis("topology", "--topologies", TOPOLOGIES,
+             "cache layouts to run", choices=TOPOLOGIES),
+    ),
+    params=(
+        Param("sources", 16),
+        Param("objects", 8, "objects per source"),
+        Param("cache_bandwidth", 12.0, "aggregate cache-side msgs/s"),
+        Param("source_bandwidth", 4.0, "per-source msgs/s"),
+        Param("rate_cap", 0.1,
+              "max per-object update rate (sparse updates are where loss "
+              "hurts and retries help; see repro.experiments.faults)"),
+        Param("retry_timeout", 3.0,
+              "seconds before the first retransmit in the "
+              "reliable-delivery arm"),
+        Param("retry_backoff", 2.0,
+              "multiplier on the timeout per further attempt"),
+        Param("retry_attempts", 4,
+              "total sends per refresh, the original included"),
+        Param("feedback_ttl", 40.0,
+              "source-side feedback staleness TTL in the "
+              "graceful-degradation arm"),
+        *COMMON,
+    ),
+    cell=_faults_cell,
+    columns=("scenario", "layout", *POLICIES, "dropped"),
+    row=lambda p: [p.axes["scenario"], p.axes["topology"],
+                   *(p.arms[name]["divergence"] for name in POLICIES),
+                   max(p.arms[name]["dropped"] for name in POLICIES)],
+    extras=_extras,
+    verdicts=(
+        Verdict("empty fault plan == fault-free baseline (all policies, "
+                "bitwise)",
+                lambda points: "none" in _scenarios(points),
+                empty_plan_is_baseline, bad="WARNING: diverged"),
+        Verdict("divergence monotone non-decreasing in loss rate",
+                lambda points: len(_scenarios(points)
+                                   & {"none", *LOSSY_SCENARIOS}) >= 2,
+                loss_monotone),
+        Verdict("retries recover >= half the loss-induced gap",
+                lambda points: ("none" in _scenarios(points)
+                                and bool(_scenarios(points)
+                                         & set(LOSSY_SCENARIOS))),
+                retry_recovers),
+        Verdict("cooperative + TTL degrades no worse than uniform through "
+                "the blackout",
+                lambda points: "feedback-blackout" in _scenarios(points),
+                blackout_graceful),
+    ),
+)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.divergence import ValueDeviation
-from repro.core.priority import AreaPriority
+from repro.experiments.harness import make_policy
 from repro.experiments.parallel import (
     ParallelRunner,
     WorkloadSpec,
@@ -33,8 +33,6 @@ from repro.experiments.runner import RunSpec, run_policy
 from repro.metrics.report import format_table
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.topology import TopologyConfig
-from repro.policies.cooperative import CooperativePolicy
-from repro.policies.uniform import UniformAllocationPolicy
 from repro.workloads.hotspot import hotspot_shards
 
 
@@ -110,17 +108,11 @@ def _run_multicache_cell(cell: MultiCacheCell) -> MultiCachePoint:
                 [ConstantBandwidth(cell.source_bandwidth)
                  for _ in range(cell.num_sources)])
 
-    cache_bw, source_bws = profiles()
-    cooperative = run_policy(
-        workload, metric,
-        CooperativePolicy(cache_bw, source_bws,
-                          priority_fn=AreaPriority()),
-        spec)
-    cache_bw, source_bws = profiles()
-    uniform = run_policy(
-        workload, metric,
-        UniformAllocationPolicy(cache_bw, source_bws),
-        spec)
+    cooperative, uniform = [
+        run_policy(workload, metric,
+                   make_policy(name, *profiles(), workload.num_objects),
+                   spec)
+        for name in ("cooperative", "uniform")]
     return MultiCachePoint(
         num_caches=num_caches,
         kind="star" if num_caches == 1 else cell.kind,

@@ -35,23 +35,24 @@ it did not pay for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.core.divergence import ValueDeviation
-from repro.experiments.netcond import _make_policy
-from repro.experiments.parallel import (
-    ParallelRunner,
-    WorkloadSpec,
-    build_workload,
+from repro.experiments.harness import (
+    COMMON,
+    POLICIES,
+    Axis,
+    Cell,
+    Experiment,
+    Param,
+    Point,
+    Verdict,
+    axis_values,
+    by_cell,
+    cell_spec,
+    cell_workload,
+    run_arm,
 )
-from repro.experiments.runner import RunSpec, run_policy
-from repro.metrics.report import format_table
-from repro.network.bandwidth import ConstantBandwidth
 from repro.network.delivery import DELIVERY_MODES
 from repro.network.topology import TopologyConfig
-from repro.workloads.synthetic import uniform_random_walk
 
-POLICIES = ("cooperative", "uniform", "competitive", "cgm", "ideal")
 #: policies whose refresh path rides the delivery plane (verdict 2)
 ADAPTIVE_POLICIES = ("cooperative", "uniform", "competitive")
 #: policies that never touch the fan-out path (verdict 3)
@@ -59,143 +60,59 @@ CONTROL_POLICIES = ("cgm", "ideal")
 REPLICATIONS = (1, 2, 4)
 
 
-@dataclass
-class MulticastPoint:
-    """All five policies at one (delivery, replication) grid cell."""
-
-    delivery: str  #: "unicast" or "multicast"
-    replication: int
-    divergence: dict[str, float] = field(default_factory=dict)
-    refreshes: dict[str, int] = field(default_factory=dict)
-    messages: dict[str, int] = field(default_factory=dict)
-    #: cache-side bandwidth units actually consumed (Link.total_units);
-    #: the denominator of divergence-per-unit -- a multicast sibling
-    #: copy is one more message but zero more units
-    units: dict[str, float] = field(default_factory=dict)
-
-    def per_unit(self, name: str) -> float:
-        """Weighted divergence per cache-side bandwidth unit."""
-        units = self.units.get(name, 0.0)
-        return self.divergence[name] / units if units > 0 else float("inf")
-
-
-@dataclass(frozen=True)
-class MulticastCell:
-    """One picklable (delivery, replication) cell of the E14 matrix."""
-
-    delivery: str
-    replication: int
-    num_caches: int
-    num_sources: int
-    objects_per_source: int
-    cache_bandwidth: float
-    source_bandwidth: float
-    warmup: float
-    measure: float
-    seed: int
-    generator: str
-
-
 def _units_of(policy) -> float:
+    """Cache-side bandwidth units actually consumed (Link.total_units):
+    the denominator of divergence-per-unit -- a multicast sibling copy
+    is one more message but zero more units."""
     topology = getattr(policy, "topology", None)
     if topology is None:
         return 0.0  # the analytic ideal curve builds no network
     return topology.cache_units_total()
 
 
-def _run_multicast_cell(cell: MulticastCell) -> MulticastPoint:
+def _multicast_cell(cell: Cell) -> dict:
     """Worker-side cell: one seeded workload through all five policies."""
-    wspec = WorkloadSpec.make(
-        uniform_random_walk, cell.seed, num_sources=cell.num_sources,
-        objects_per_source=cell.objects_per_source,
-        horizon=cell.warmup + cell.measure, generator=cell.generator)
-    workload = build_workload(wspec)
-    metric = ValueDeviation()
-    topology = TopologyConfig(
-        kind="replicated", num_caches=cell.num_caches,
-        replication=cell.replication, delivery=cell.delivery)
-    spec = RunSpec(warmup=cell.warmup, measure=cell.measure,
-                   seed=cell.seed, topology=topology)
-    point = MulticastPoint(delivery=cell.delivery,
-                           replication=cell.replication)
+    workload = cell_workload(cell)
+    spec = cell_spec(cell, topology=TopologyConfig(
+        kind="replicated", num_caches=cell["num_caches"],
+        replication=cell["replication"], delivery=cell["delivery"]))
+    arms = {}
     for name in POLICIES:
-        cache_bw = ConstantBandwidth(cell.cache_bandwidth)
-        source_bws = [ConstantBandwidth(cell.source_bandwidth)
-                      for _ in range(cell.num_sources)]
-        policy = _make_policy(name, cache_bw, source_bws,
-                              workload.num_objects)
-        result = run_policy(workload, metric, policy, spec)
-        point.divergence[name] = result.weighted_divergence
-        point.refreshes[name] = result.refreshes
-        point.messages[name] = result.messages_total
-        point.units[name] = _units_of(policy)
-    return point
-
-
-def run_multicast(deliveries: tuple[str, ...] = DELIVERY_MODES,
-                  replications: tuple[int, ...] = REPLICATIONS,
-                  num_caches: int = 4,
-                  num_sources: int = 16,
-                  objects_per_source: int = 8,
-                  cache_bandwidth: float = 12.0,
-                  source_bandwidth: float = 4.0,
-                  warmup: float = 100.0,
-                  measure: float = 400.0,
-                  seed: int = 0,
-                  generator: str = "vectorized",
-                  workers: int = 1) -> list[MulticastPoint]:
-    """Run the E14 delivery x replication matrix on one seeded workload.
-
-    Workload, bandwidth and seed are identical across the matrix; only
-    the delivery plane and replication degree change, so divergence
-    differences are pure fan-out-cost effects.  The default cache
-    bandwidth keeps the cache links saturated at replication >= 2 under
-    unicast (the regime where delivery cost matters; an idle network
-    renders the planes indistinguishable).  ``workers`` > 1 fans cells
-    over a process pool with bit-identical results.
-    """
-    for delivery in deliveries:
-        if delivery not in DELIVERY_MODES:
-            raise ValueError(f"unknown delivery plane {delivery!r}")
-    for replication in replications:
-        if not 1 <= replication <= num_caches:
-            raise ValueError(
-                f"replication must be in [1, {num_caches}], "
-                f"got {replication}")
-    cells = [MulticastCell(
-        delivery=delivery, replication=replication,
-        num_caches=num_caches, num_sources=num_sources,
-        objects_per_source=objects_per_source,
-        cache_bandwidth=cache_bandwidth,
-        source_bandwidth=source_bandwidth,
-        warmup=warmup, measure=measure, seed=seed, generator=generator)
-        for replication in replications for delivery in deliveries]
-    return ParallelRunner(workers).map(_run_multicast_cell, cells)
+        policy, result = run_arm(cell, workload, name, spec)
+        arms[name] = {"divergence": result.weighted_divergence,
+                      "refreshes": result.refreshes,
+                      "messages": result.messages_total,
+                      "units": _units_of(policy)}
+    return arms
 
 
 # ----------------------------------------------------------------------
 # Structural verdicts
 # ----------------------------------------------------------------------
-def _by_cell(points: list[MulticastPoint]
-             ) -> dict[tuple[str, int], MulticastPoint]:
-    return {(p.delivery, p.replication): p for p in points}
+def per_unit(arm: dict) -> float:
+    """Weighted divergence per cache-side bandwidth unit."""
+    units = arm.get("units", 0.0)
+    return arm["divergence"] / units if units > 0 else float("inf")
 
 
-def unicast_tie_at_r1(points: list[MulticastPoint]) -> bool:
+def _plane_pairs(points: list[Point]) -> list[tuple[Point, Point]]:
+    """(unicast, multicast) points sharing a replication."""
+    cells = by_cell(points, "delivery", "replication")
+    return [(cells[("unicast", replication)], multi)
+            for (delivery, replication), multi in cells.items()
+            if delivery == "multicast"
+            and ("unicast", replication) in cells]
+
+
+def unicast_tie_at_r1(points: list[Point]) -> bool:
     """True when the replication-1 multicast cell reproduced unicast bit
     for bit for every policy (no sibling legs -> no plane effect)."""
-    cells = _by_cell(points)
-    uni = cells.get(("unicast", 1))
-    multi = cells.get(("multicast", 1))
-    if uni is None or multi is None:
-        return False
-    return (uni.divergence == multi.divergence
-            and uni.refreshes == multi.refreshes
-            and uni.messages == multi.messages
-            and uni.units == multi.units)
+    return any(uni.arms == multi.arms
+               for uni, multi in _plane_pairs(points)
+               if multi.axes["replication"] == 1)
 
 
-def multicast_dominates(points: list[MulticastPoint],
+def multicast_dominates(points: list[Point],
                         tolerance: float = 0.02) -> bool:
     """True when every adaptive policy at replication >= 2 reaches
     strictly lower divergence under multicast without spending more
@@ -203,81 +120,83 @@ def multicast_dominates(points: list[MulticastPoint],
     overshoot).  Both coordinates at once: a strictly better point on
     the divergence-vs-bandwidth plane, hence strictly better
     divergence per unit."""
-    cells = _by_cell(points)
-    checked = 0
-    for (delivery, replication), multi in cells.items():
-        if delivery != "multicast" or replication < 2:
-            continue
-        uni = cells.get(("unicast", replication))
-        if uni is None:
-            continue
-        for name in ADAPTIVE_POLICIES:
-            checked += 1
-            if multi.divergence[name] >= uni.divergence[name]:
-                return False
-            if multi.units[name] > uni.units[name] * (1.0 + tolerance):
-                return False
-    return checked > 0
+    pairs = [(uni.arms[name], multi.arms[name])
+             for uni, multi in _plane_pairs(points)
+             if multi.axes["replication"] >= 2
+             for name in ADAPTIVE_POLICIES]
+    return bool(pairs) and all(
+        multi["divergence"] < uni["divergence"]
+        and multi["units"] <= uni["units"] * (1.0 + tolerance)
+        for uni, multi in pairs)
 
 
-def controls_invariant(points: list[MulticastPoint]) -> bool:
+def controls_invariant(points: list[Point]) -> bool:
     """True when CGM and ideal are bitwise identical across planes at
     every replication (they never ride the fan-out path)."""
-    cells = _by_cell(points)
-    checked = 0
-    for (delivery, replication), multi in cells.items():
-        if delivery != "multicast":
-            continue
-        uni = cells.get(("unicast", replication))
-        if uni is None:
-            continue
-        for name in CONTROL_POLICIES:
-            checked += 1
-            if (multi.divergence[name] != uni.divergence[name]
-                    or multi.refreshes[name] != uni.refreshes[name]):
-                return False
-    return checked > 0
+    pairs = [(uni.arms[name], multi.arms[name])
+             for uni, multi in _plane_pairs(points)
+             for name in CONTROL_POLICIES]
+    return bool(pairs) and all(
+        multi[metric] == uni[metric]
+        for uni, multi in pairs for metric in ("divergence", "refreshes"))
 
 
-def render_multicast(points: list[MulticastPoint], title: str) -> str:
-    """The matrix as a table plus the three structural verdict lines."""
-    rows = [
-        [p.delivery, p.replication]
-        + [p.divergence.get(name, float("nan")) for name in POLICIES]
-        + [p.units.get("cooperative", 0.0)]
-        for p in points
-    ]
-    table = format_table(
-        ["delivery", "repl", *POLICIES, "coop units"], rows, title=title)
-    extras = []
-    for p in points:
-        if p.replication < 2:
-            continue
-        extras.append(
-            "  r={} {}: coop div/unit {:.4g}, uniform div/unit {:.4g}"
-            .format(p.replication, p.delivery,
-                    p.per_unit("cooperative"), p.per_unit("uniform")))
-    replications = {p.replication for p in points}
-    deliveries = {p.delivery for p in points}
-    both = len(deliveries) == 2
+def _extras(points: list[Point]) -> list[str]:
+    return [
+        "  r={} {}: coop div/unit {:.4g}, uniform div/unit {:.4g}".format(
+            p.axes["replication"], p.axes["delivery"],
+            per_unit(p.arms["cooperative"]), per_unit(p.arms["uniform"]))
+        for p in points if p.axes["replication"] >= 2]
 
-    def verdict(applicable: bool, ok: bool, bad: str) -> str:
-        # A partial --replications matrix simply lacks some verdicts.
-        if not applicable:
-            return "n/a (cells not in this matrix)"
-        return "yes" if ok else bad
 
-    verdicts = [
-        ("multicast == unicast at replication 1 (all policies, "
-         "bitwise): "
-         + verdict(both and 1 in replications, unicast_tie_at_r1(points),
-                   "WARNING: diverged")),
-        ("multicast strictly better divergence per unit at replication "
-         ">= 2 (adaptive policies): "
-         + verdict(both and bool(replications - {1}),
-                   multicast_dominates(points), "WARNING: violated")),
-        ("cgm/ideal invariant across delivery planes (bitwise): "
-         + verdict(both, controls_invariant(points),
-                   "WARNING: diverged")),
-    ]
-    return "\n".join([table, *extras, *verdicts])
+def _both_planes(points: list[Point]) -> bool:
+    return len(axis_values(points, "delivery")) == 2
+
+
+MULTICAST = Experiment(
+    name="multicast",
+    title="E14 multicast delivery: five policies x delivery plane x "
+          "replication (weighted divergence)",
+    summary="E14 multicast-delivery matrix: five policies x {unicast, "
+            "multicast} x replication on a replicated layout",
+    # Replication is the outer loop; the table still leads with the
+    # delivery plane.
+    axes=(
+        Axis("replication", "--replications", REPLICATIONS,
+             "replication factors to sweep",
+             bounds=lambda params: (1, params["num_caches"])),
+        Axis("delivery", "--deliveries", DELIVERY_MODES,
+             "delivery planes to run", choices=DELIVERY_MODES),
+    ),
+    params=(
+        Param("num_caches", 4, "cache nodes in the replicated layout"),
+        Param("sources", 16),
+        Param("objects", 8, "objects per source"),
+        Param("cache_bandwidth", 12.0,
+              "aggregate cache-side msgs/s (keep the links saturated: an "
+              "idle network hides the planes' cost difference)"),
+        Param("source_bandwidth", 4.0, "per-source msgs/s"),
+        *COMMON,
+    ),
+    cell=_multicast_cell,
+    columns=("delivery", "repl", *POLICIES, "coop units"),
+    row=lambda p: [p.axes["delivery"], p.axes["replication"],
+                   *(p.arms[name]["divergence"] for name in POLICIES),
+                   p.arms["cooperative"]["units"]],
+    extras=_extras,
+    verdicts=(
+        Verdict("multicast == unicast at replication 1 (all policies, "
+                "bitwise)",
+                lambda points: (_both_planes(points) and 1 in axis_values(
+                    points, "replication")),
+                unicast_tie_at_r1, bad="WARNING: diverged"),
+        Verdict("multicast strictly better divergence per unit at "
+                "replication >= 2 (adaptive policies)",
+                lambda points: (_both_planes(points) and bool(axis_values(
+                    points, "replication") - {1})),
+                multicast_dominates),
+        Verdict("cgm/ideal invariant across delivery planes (bitwise)",
+                _both_planes, controls_invariant,
+                bad="WARNING: diverged"),
+    ),
+)

@@ -28,162 +28,64 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.divergence import ValueDeviation
-from repro.core.priority import AreaPriority
-from repro.core.weights import StaticWeights
-from repro.experiments.parallel import (
-    ParallelRunner,
-    WorkloadSpec,
-    build_workload,
+from repro.experiments.harness import (
+    COMMON,
+    POLICIES,
+    Axis,
+    Cell,
+    Experiment,
+    Param,
+    Point,
+    Verdict,
+    axis_values,
+    by_cell,
+    cell_spec,
+    cell_workload,
+    make_policy,
+    run_arm,
 )
 from repro.experiments.runner import RunSpec, run_policy
-from repro.metrics.report import format_table
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.topology import TopologyConfig
-from repro.policies.cache_driven import CGMPollingPolicy
-from repro.policies.competitive import CompetitivePolicy
-from repro.policies.cooperative import CooperativePolicy
-from repro.policies.ideal import IdealCooperativePolicy
-from repro.policies.uniform import UniformAllocationPolicy
 from repro.workloads.bandwidth_traces import SCENARIOS, scenario_profile
-from repro.workloads.synthetic import uniform_random_walk
 
-POLICIES = ("cooperative", "uniform", "competitive", "cgm", "ideal")
-TOPOLOGIES = ("star", "sharded-4")
-
-
-@dataclass
-class NetCondPoint:
-    """All five policies at one (scenario, topology) grid cell."""
-
-    scenario: str
-    topology: str  #: "star" or "sharded-4"
-    divergence: dict[str, float] = field(default_factory=dict)
-    refreshes: dict[str, int] = field(default_factory=dict)
-    #: cooperative divergence under plain ``ConstantBandwidth`` profiles;
-    #: measured on steady cells only (the bitwise control arm).
-    constant_control: float | None = None
+#: cache layout name -> topology (None = the paper's star)
+LAYOUTS = {"star": None,
+           "sharded-4": TopologyConfig(kind="sharded", num_caches=4)}
+TOPOLOGIES = tuple(LAYOUTS)
 
 
-@dataclass(frozen=True)
-class NetCondCell:
-    """One picklable (scenario, topology) cell of the E11 matrix."""
-
-    scenario: str
-    topology: str
-    num_sources: int
-    objects_per_source: int
-    cache_bandwidth: float
-    source_bandwidth: float
-    warmup: float
-    measure: float
-    seed: int
-    generator: str
-
-
-def _profiles(cell: NetCondCell):
-    """Fresh scenario-shaped profiles (per policy -- links consume them).
+def _netcond_cell(cell: Cell) -> dict:
+    """Worker-side cell: one seeded workload through all five policies.
 
     The cache link carries the scenario's condition; each source link
     carries the same kind of condition seeded per source, so bursty
-    cells get heterogeneous per-source congestion walks.
+    cells get heterogeneous per-source congestion walks.  Steady cells
+    add the ``cooperative+constant`` control arm on plain
+    ``ConstantBandwidth`` links.
     """
-    duration = cell.warmup + cell.measure
-    cache = scenario_profile(cell.scenario, cell.cache_bandwidth,
-                             duration, seed=cell.seed)
-    sources = [scenario_profile(cell.scenario, cell.source_bandwidth,
-                                duration, seed=cell.seed + 1 + j)
-               for j in range(cell.num_sources)]
-    return cache, sources
+    workload = cell_workload(cell)
+    spec = cell_spec(cell, topology=LAYOUTS[cell["topology"]])
+    duration = cell["warmup"] + cell["measure"]
 
+    def shape(rate, k):
+        return scenario_profile(cell["scenario"], rate, duration,
+                                seed=cell["seed"] + k)
 
-def _make_policy(name: str, cache_bw, source_bws, num_objects: int):
-    if name == "cooperative":
-        return CooperativePolicy(cache_bw, source_bws,
-                                 priority_fn=AreaPriority())
-    if name == "uniform":
-        return UniformAllocationPolicy(cache_bw, source_bws)
-    if name == "competitive":
-        return CompetitivePolicy(
-            cache_bw, source_bws, priority_fn=AreaPriority(),
-            source_weights=StaticWeights.uniform(num_objects), psi=0.25)
-    if name == "cgm":
-        return CGMPollingPolicy(cache_bw, variant="cgm2")
-    if name == "ideal":
-        return IdealCooperativePolicy(cache_bw, AreaPriority(),
-                                      source_bandwidths=source_bws)
-    raise ValueError(f"unknown policy {name!r}")
-
-
-def _run_netcond_cell(cell: NetCondCell) -> NetCondPoint:
-    """Worker-side cell: one seeded workload through all five policies."""
-    wspec = WorkloadSpec.make(
-        uniform_random_walk, cell.seed, num_sources=cell.num_sources,
-        objects_per_source=cell.objects_per_source,
-        horizon=cell.warmup + cell.measure, generator=cell.generator)
-    workload = build_workload(wspec)
-    metric = ValueDeviation()
-    topology = (None if cell.topology == "star"
-                else TopologyConfig(kind="sharded", num_caches=4))
-    spec = RunSpec(warmup=cell.warmup, measure=cell.measure,
-                   seed=cell.seed, topology=topology)
-    point = NetCondPoint(scenario=cell.scenario, topology=cell.topology)
+    arms = {}
     for name in POLICIES:
-        cache_bw, source_bws = _profiles(cell)
-        result = run_policy(
-            workload, metric,
-            _make_policy(name, cache_bw, source_bws,
-                         workload.num_objects),
-            spec)
-        point.divergence[name] = result.weighted_divergence
-        point.refreshes[name] = result.refreshes
-    if cell.scenario == "steady":
-        control = run_policy(
-            workload, metric,
-            _make_policy("cooperative",
-                         ConstantBandwidth(cell.cache_bandwidth),
-                         [ConstantBandwidth(cell.source_bandwidth)
-                          for _ in range(cell.num_sources)],
-                         workload.num_objects),
-            spec)
-        point.constant_control = control.weighted_divergence
-    return point
-
-
-def run_netcond(scenarios: tuple[str, ...] = SCENARIOS,
-                topologies: tuple[str, ...] = TOPOLOGIES,
-                num_sources: int = 16,
-                objects_per_source: int = 8,
-                cache_bandwidth: float = 20.0,
-                source_bandwidth: float = 4.0,
-                warmup: float = 100.0,
-                measure: float = 400.0,
-                seed: int = 0,
-                generator: str = "vectorized",
-                workers: int = 1) -> list[NetCondPoint]:
-    """Run the E11 scenario x topology matrix on one seeded workload.
-
-    The workload is identical across the matrix; only the bandwidth
-    traces change, so divergence differences are pure network-condition
-    effects.  ``workers`` > 1 fans the cells over a process pool with
-    bit-identical results (every worker regenerates the same seeded
-    workload and traces).
-    """
-    for topology in topologies:
-        if topology not in TOPOLOGIES:
-            raise ValueError(f"unknown topology {topology!r}")
-    cells = [NetCondCell(
-        scenario=scenario, topology=topology, num_sources=num_sources,
-        objects_per_source=objects_per_source,
-        cache_bandwidth=cache_bandwidth,
-        source_bandwidth=source_bandwidth, warmup=warmup,
-        measure=measure, seed=seed, generator=generator)
-        for scenario in scenarios for topology in topologies]
-    return ParallelRunner(workers).map(_run_netcond_cell, cells)
+        _, result = run_arm(cell, workload, name, spec, shape)
+        arms[name] = {"divergence": result.weighted_divergence,
+                      "refreshes": result.refreshes}
+    if cell["scenario"] == "steady":
+        _, result = run_arm(cell, workload, "cooperative", spec)
+        arms["cooperative+constant"] = {
+            "divergence": result.weighted_divergence}
+    return arms
 
 
 def run_netcond_scale(num_sources: int = 100_000,
@@ -233,8 +135,8 @@ def run_netcond_scale(num_sources: int = 100_000,
             shared = diurnal_trace(source_bandwidth, duration,
                                    num_breakpoints)
             source_bws = [shared] * num_sources
-        policy = CooperativePolicy(cache_bw, source_bws,
-                                   priority_fn=AreaPriority())
+        policy = make_policy("cooperative", cache_bw, source_bws,
+                             workload.num_objects)
         start = time.perf_counter()
         result = run_policy(workload, metric, policy, spec)
         wall = time.perf_counter() - start
@@ -254,37 +156,33 @@ def run_netcond_scale(num_sources: int = 100_000,
 # ----------------------------------------------------------------------
 # Structural verdicts
 # ----------------------------------------------------------------------
-def _by_cell(points: list[NetCondPoint]) -> dict[tuple[str, str],
-                                                 NetCondPoint]:
-    return {(p.scenario, p.topology): p for p in points}
-
-
-def steady_matches_constant(points: list[NetCondPoint]) -> bool:
+def steady_matches_constant(points: list[Point]) -> bool:
     """True when every steady trace reproduced its constant control arm
     bit for bit (the fast path changed nothing on flat profiles)."""
-    steady = [p for p in points if p.scenario == "steady"]
+    steady = [p for p in points if p.axes["scenario"] == "steady"]
     return bool(steady) and all(
-        p.constant_control is not None
-        and p.divergence["cooperative"] == p.constant_control
+        "cooperative+constant" in p.arms
+        and (p.arms["cooperative"]["divergence"]
+             == p.arms["cooperative+constant"]["divergence"])
         for p in steady)
 
 
-def outage_degrades(points: list[NetCondPoint]) -> bool:
+def _outage_pairs(points: list[Point]) -> list[tuple[Point, Point]]:
+    """(steady, outage) points sharing a topology."""
+    cells = by_cell(points, "scenario", "topology")
+    return [(cells[("steady", topology)], out)
+            for (scenario, topology), out in cells.items()
+            if scenario == "outage" and ("steady", topology) in cells]
+
+
+def outage_degrades(points: list[Point]) -> bool:
     """True when the outage scenario's divergence is at least the steady
     scenario's for every policy on every topology both were run on."""
-    cells = _by_cell(points)
-    checked = 0
-    for (scenario, topology), out in cells.items():
-        if scenario != "outage":
-            continue
-        steady = cells.get(("steady", topology))
-        if steady is None:
-            continue
-        checked += 1
-        for name in out.divergence:
-            if out.divergence[name] < steady.divergence.get(name, 0.0):
-                return False
-    return checked > 0
+    pairs = _outage_pairs(points)
+    return bool(pairs) and all(
+        out.arms[name]["divergence"]
+        >= steady.arms.get(name, {}).get("divergence", 0.0)
+        for steady, out in pairs for name in out.arms)
 
 
 def _degradation_ratio(outage: float, steady: float) -> float:
@@ -295,45 +193,56 @@ def _degradation_ratio(outage: float, steady: float) -> float:
     return float("inf") if outage > 0.0 else 1.0
 
 
-def graceful_degradation(points: list[NetCondPoint]) -> bool:
+def graceful_degradation(points: list[Point]) -> bool:
     """True when cooperative's outage/steady divergence ratio is at most
     uniform allocation's on every topology (adaptive feedback recovers
     from the blackout at least as gracefully as the static split)."""
-    cells = _by_cell(points)
-    checked = 0
-    for (scenario, topology), out in cells.items():
-        if scenario != "outage":
-            continue
-        steady = cells.get(("steady", topology))
-        if steady is None:
-            continue
-        coop = _degradation_ratio(out.divergence["cooperative"],
-                                  steady.divergence["cooperative"])
-        unif = _degradation_ratio(out.divergence["uniform"],
-                                  steady.divergence["uniform"])
-        checked += 1
-        if coop > unif:
-            return False
-    return checked > 0
+
+    def ratio(steady, out, name):
+        return _degradation_ratio(out.arms[name]["divergence"],
+                                  steady.arms[name]["divergence"])
+
+    pairs = _outage_pairs(points)
+    return bool(pairs) and all(
+        ratio(steady, out, "cooperative") <= ratio(steady, out, "uniform")
+        for steady, out in pairs)
 
 
-def render_netcond(points: list[NetCondPoint], title: str) -> str:
-    """The matrix as a table plus the three structural verdict lines."""
-    rows = [
-        [p.scenario, p.topology]
-        + [p.divergence.get(name, float("nan")) for name in POLICIES]
-        for p in points
-    ]
-    table = format_table(["scenario", "layout", *POLICIES], rows,
-                         title=title)
-    verdicts = [
-        ("steady trace == constant bandwidth (cooperative, bitwise): "
-         + ("yes" if steady_matches_constant(points)
-            else "WARNING: diverged")),
-        ("outage degrades every policy vs steady: "
-         + ("yes" if outage_degrades(points) else "WARNING: violated")),
-        ("cooperative degrades no worse than uniform under outage: "
-         + ("yes" if graceful_degradation(points)
-            else "WARNING: violated")),
-    ]
-    return "\n".join([table, *verdicts])
+NETCOND = Experiment(
+    name="netcond",
+    title="E11 network conditions: five policies under trace-driven "
+          "bandwidth (weighted divergence)",
+    summary="E11 network-condition matrix: five policies under "
+            "steady/diurnal/bursty/outage traces",
+    axes=(
+        Axis("scenario", "--scenarios", SCENARIOS,
+             "bandwidth scenarios to run", choices=SCENARIOS),
+        Axis("topology", "--topologies", TOPOLOGIES,
+             "cache layouts to run", choices=TOPOLOGIES),
+    ),
+    params=(
+        Param("sources", 16),
+        Param("objects", 8, "objects per source"),
+        Param("cache_bandwidth", 20.0,
+              "mean aggregate cache-side msgs/s (the scenario trace "
+              "fluctuates around it)"),
+        Param("source_bandwidth", 4.0, "mean per-source msgs/s"),
+        *COMMON,
+    ),
+    cell=_netcond_cell,
+    columns=("scenario", "layout", *POLICIES),
+    row=lambda p: [p.axes["scenario"], p.axes["topology"],
+                   *(p.arms[name]["divergence"] for name in POLICIES)],
+    verdicts=(
+        Verdict("steady trace == constant bandwidth (cooperative, "
+                "bitwise)",
+                lambda points: "steady" in axis_values(points, "scenario"),
+                steady_matches_constant, bad="WARNING: diverged"),
+        Verdict("outage degrades every policy vs steady",
+                lambda points: bool(_outage_pairs(points)),
+                outage_degrades),
+        Verdict("cooperative degrades no worse than uniform under outage",
+                lambda points: bool(_outage_pairs(points)),
+                graceful_degradation),
+    ),
+)

@@ -35,20 +35,19 @@ adaptive rule must justify its global view against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.core.divergence import ValueDeviation
-from repro.core.priority import AreaPriority
-from repro.experiments.parallel import (
-    ParallelRunner,
-    WorkloadSpec,
-    build_workload,
+from repro.experiments.harness import (
+    COMMON,
+    Axis,
+    Cell,
+    Experiment,
+    Param,
+    Point,
+    Verdict,
+    cell_spec,
+    cell_workload,
+    run_arm,
 )
-from repro.experiments.runner import RunSpec, run_policy
-from repro.metrics.report import format_table
-from repro.network.bandwidth import ConstantBandwidth
 from repro.network.topology import TopologyConfig
-from repro.policies.cooperative import CooperativePolicy
 from repro.rebalance import RebalanceConfig
 from repro.workloads.hotspot import moving_hotspot
 
@@ -56,173 +55,120 @@ ARMS = ("static", "inert", "adaptive", "distributed")
 CACHE_COUNTS = (1, 2, 4, 8)
 
 
-@dataclass
-class RebalancePoint:
-    """All four arms at one cache count."""
-
-    num_caches: int
-    divergence: dict[str, float] = field(default_factory=dict)
-    refreshes: dict[str, int] = field(default_factory=dict)
-    messages: dict[str, int] = field(default_factory=dict)
-    migrations: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class RebalanceCell:
-    """One picklable cache-count cell of the E13 sweep."""
-
-    num_caches: int
-    num_sources: int
-    objects_per_source: int
-    cache_bandwidth: float
-    source_bandwidth: float
-    num_phases: int
-    hot_boost: float
-    rate_lo: float
-    rate_hi: float
-    interval: float
-    max_moves: int
-    saturation_queue: int
-    peer_rate: float
-    warmup: float
-    measure: float
-    seed: int
-    generator: str
-
-
-def _rebalance_config(cell: RebalanceCell, arm: str) -> RebalanceConfig | None:
+def _rebalance_config(cell: Cell, arm: str) -> RebalanceConfig | None:
     if arm == "static":
         return None
     mode = "distributed" if arm == "distributed" else "adaptive"
     return RebalanceConfig(
-        interval=cell.interval, mode=mode,
-        saturation_queue=cell.saturation_queue,
-        max_moves=0 if arm == "inert" else cell.max_moves,
-        peer_rate=cell.peer_rate)
+        interval=cell["interval"], mode=mode,
+        saturation_queue=cell["saturation_queue"],
+        max_moves=0 if arm == "inert" else cell["max_moves"],
+        peer_rate=cell["peer_rate"])
 
 
-def _run_rebalance_cell(cell: RebalanceCell) -> RebalancePoint:
+def _rebalance_cell(cell: Cell) -> dict:
     """Worker-side cell: the four arms on one seeded hotspot workload."""
-    wspec = WorkloadSpec.make(
-        moving_hotspot, cell.seed, num_sources=cell.num_sources,
-        objects_per_source=cell.objects_per_source,
-        horizon=cell.warmup + cell.measure, num_phases=cell.num_phases,
-        hot_boost=cell.hot_boost, rate_range=(cell.rate_lo, cell.rate_hi),
-        generator=cell.generator)
-    workload = build_workload(wspec)
-    metric = ValueDeviation()
-    topology = (None if cell.num_caches == 1
-                else TopologyConfig(kind="sharded",
-                                    num_caches=cell.num_caches))
-    spec = RunSpec(warmup=cell.warmup, measure=cell.measure,
-                   seed=cell.seed, topology=topology)
-    point = RebalancePoint(num_caches=cell.num_caches)
+    workload = cell_workload(
+        cell, builder=moving_hotspot, num_phases=cell["phases"],
+        hot_boost=cell["hot_boost"], rate_range=tuple(cell["rate_range"]))
+    num_caches = cell["num_caches"]
+    spec = cell_spec(cell, topology=(
+        None if num_caches == 1
+        else TopologyConfig(kind="sharded", num_caches=num_caches)))
+    arms = {}
     for arm in ARMS:
-        policy = CooperativePolicy(
-            ConstantBandwidth(cell.cache_bandwidth),
-            [ConstantBandwidth(cell.source_bandwidth)
-             for _ in range(cell.num_sources)],
-            priority_fn=AreaPriority(),
-            rebalance=_rebalance_config(cell, arm))
-        result = run_policy(workload, metric, policy, spec)
-        point.divergence[arm] = result.weighted_divergence
-        point.refreshes[arm] = result.refreshes
-        point.messages[arm] = policy.messages_total()
+        policy, result = run_arm(cell, workload, "cooperative", spec,
+                                 rebalance=_rebalance_config(cell, arm))
         rebalancer = policy.rebalancer
-        point.migrations[arm] = (rebalancer.migrations
-                                 if rebalancer is not None else 0)
-    return point
-
-
-def run_rebalance(cache_counts: tuple[int, ...] = CACHE_COUNTS,
-                  num_sources: int = 16,
-                  objects_per_source: int = 8,
-                  cache_bandwidth: float = 24.0,
-                  source_bandwidth: float = 4.0,
-                  num_phases: int = 4,
-                  hot_boost: float = 25.0,
-                  rate_range: tuple[float, float] = (0.02, 0.12),
-                  interval: float = 10.0,
-                  max_moves: int = 2,
-                  saturation_queue: int = 2,
-                  peer_rate: float = 4.0,
-                  warmup: float = 100.0,
-                  measure: float = 400.0,
-                  seed: int = 0,
-                  generator: str = "vectorized",
-                  workers: int = 1) -> list[RebalancePoint]:
-    """Run the E13 arm x cache-count sweep on one seeded hotspot.
-
-    The workload and the aggregate bandwidth are identical across cache
-    counts -- the only thing that changes is how many ways the links and
-    the source blocks are split, so divergence differences are pure
-    allocation effects.  ``workers`` > 1 fans the cells over a process
-    pool with bit-identical results.
-    """
-    for count in cache_counts:
-        if count < 1:
-            raise ValueError(f"cache counts must be >= 1, got {count}")
-    cells = [RebalanceCell(
-        num_caches=count, num_sources=num_sources,
-        objects_per_source=objects_per_source,
-        cache_bandwidth=cache_bandwidth,
-        source_bandwidth=source_bandwidth, num_phases=num_phases,
-        hot_boost=hot_boost, rate_lo=rate_range[0], rate_hi=rate_range[1],
-        interval=interval, max_moves=max_moves,
-        saturation_queue=saturation_queue, peer_rate=peer_rate,
-        warmup=warmup, measure=measure, seed=seed, generator=generator)
-        for count in cache_counts]
-    return ParallelRunner(workers).map(_run_rebalance_cell, cells)
+        arms[arm] = {
+            "divergence": result.weighted_divergence,
+            "refreshes": result.refreshes,
+            "messages": policy.messages_total(),
+            "migrations": (rebalancer.migrations
+                           if rebalancer is not None else 0)}
+    return arms
 
 
 # ----------------------------------------------------------------------
 # Structural verdicts
 # ----------------------------------------------------------------------
-def inert_matches_static(points: list[RebalancePoint]) -> bool:
+def _multi(points: list[Point]) -> list[Point]:
+    return [p for p in points if p.axes["num_caches"] >= 2]
+
+
+def inert_matches_static(points: list[Point]) -> bool:
     """True when the armed-but-idle rebalancer changed *nothing*: same
     weighted divergence and the same applied-refresh count, bit for bit,
     at every cache count (the E13 off-pin)."""
     return bool(points) and all(
-        p.divergence["inert"] == p.divergence["static"]
-        and p.refreshes["inert"] == p.refreshes["static"]
-        for p in points)
+        p.arms["inert"][metric] == p.arms["static"][metric]
+        for p in points for metric in ("divergence", "refreshes"))
 
 
-def adaptive_migrates(points: list[RebalancePoint]) -> bool:
+def adaptive_migrates(points: list[Point]) -> bool:
     """True when the adaptive arm actually moved shards at every cache
     count >= 2 (a zero-migration win would be vacuous)."""
-    multi = [p for p in points if p.num_caches >= 2]
+    multi = _multi(points)
     return bool(multi) and all(
-        p.migrations["adaptive"] > 0 for p in multi)
+        p.arms["adaptive"]["migrations"] > 0 for p in multi)
 
 
-def adaptive_beats_static(points: list[RebalancePoint]) -> bool:
+def adaptive_beats_static(points: list[Point]) -> bool:
     """True when adaptive rebalancing strictly lowers weighted divergence
     vs the static block assignment at every cache count >= 2."""
-    multi = [p for p in points if p.num_caches >= 2]
+    multi = _multi(points)
     return bool(multi) and all(
-        p.divergence["adaptive"] < p.divergence["static"] for p in multi)
+        p.arms["adaptive"]["divergence"] < p.arms["static"]["divergence"]
+        for p in multi)
 
 
-def render_rebalance(points: list[RebalancePoint], title: str) -> str:
-    """The sweep as a table plus the three structural verdict lines."""
-    rows = [
-        [p.num_caches]
-        + [p.divergence.get(arm, float("nan")) for arm in ARMS]
-        + [p.migrations.get("adaptive", 0), p.migrations.get("distributed", 0)]
-        for p in points
-    ]
-    table = format_table(
-        ["caches", *ARMS, "moves(adapt)", "moves(dist)"], rows, title=title)
-    verdicts = [
-        ("inert rebalancer == static sharding (bitwise): "
-         + ("yes" if inert_matches_static(points)
-            else "WARNING: diverged")),
-        ("adaptive migrates at every cache count >= 2: "
-         + ("yes" if adaptive_migrates(points)
-            else "WARNING: no migrations")),
-        ("adaptive beats static at every cache count >= 2: "
-         + ("yes" if adaptive_beats_static(points)
-            else "WARNING: violated")),
-    ]
-    return "\n".join([table, *verdicts])
+REBALANCE = Experiment(
+    name="rebalance",
+    title="E13 shard rebalancing: static vs adaptive vs distributed under "
+          "a moving hotspot (weighted divergence)",
+    summary="E13 shard-rebalancing sweep: static vs adaptive vs "
+            "distributed allocation under a moving hotspot",
+    axes=(
+        Axis("num_caches", "--num-caches", CACHE_COUNTS,
+             "cache counts to sweep (1 runs the star control arm)",
+             bounds=lambda params: (1, None)),
+    ),
+    params=(
+        Param("sources", 16),
+        Param("objects", 8, "objects per source"),
+        Param("cache_bandwidth", 24.0,
+              "aggregate cache-side msgs/s, split across cache links"),
+        Param("source_bandwidth", 4.0,
+              "per-source msgs/s (also the hot sources' send ceiling)"),
+        Param("phases", 4,
+              "hotspot phases over the horizon (the hot block advances "
+              "by its own width each phase)"),
+        Param("hot_boost", 25.0, "update-rate multiplier on the hot block"),
+        Param("rate_range", (0.02, 0.12),
+              "uniform base update-rate range; keep it low enough that "
+              "cold caches bank surplus", nargs=2),
+        Param("interval", 10.0,
+              "seconds between rebalance decision windows"),
+        Param("max_moves", 2, "migrations per decision window"),
+        Param("saturation_queue", 2,
+              "windowed FIFO peak that flags a donor"),
+        Param("peer_rate", 4.0, "cache-to-cache peer link msgs/s"),
+        *COMMON,
+    ),
+    cell=_rebalance_cell,
+    columns=("caches", *ARMS, "moves(adapt)", "moves(dist)"),
+    row=lambda p: [p.axes["num_caches"],
+                   *(p.arms[arm]["divergence"] for arm in ARMS),
+                   p.arms["adaptive"]["migrations"],
+                   p.arms["distributed"]["migrations"]],
+    verdicts=(
+        Verdict("inert rebalancer == static sharding (bitwise)",
+                bool, inert_matches_static, bad="WARNING: diverged"),
+        Verdict("adaptive migrates at every cache count >= 2",
+                lambda points: bool(_multi(points)), adaptive_migrates,
+                bad="WARNING: no migrations"),
+        Verdict("adaptive beats static at every cache count >= 2",
+                lambda points: bool(_multi(points)),
+                adaptive_beats_static),
+    ),
+)

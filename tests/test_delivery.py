@@ -26,7 +26,7 @@ import pytest
 
 from repro.core.divergence import ValueDeviation
 from repro.cache.feedback import FeedbackController
-from repro.experiments.netcond import POLICIES, _make_policy
+from repro.experiments.harness import POLICIES, make_policy
 from repro.experiments.runner import RunSpec, run_policy
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.delivery import (
@@ -83,9 +83,9 @@ def _pin_triple(topology, policy_name, delivery="unicast"):
     workload = uniform_random_walk(num_sources=10, objects_per_source=10,
                                    horizon=200.0, rng=rng,
                                    fluctuating_weights=True)
-    policy = _make_policy(policy_name, ConstantBandwidth(20.0),
-                          [ConstantBandwidth(4.0) for _ in range(10)],
-                          workload.num_objects)
+    policy = make_policy(policy_name, ConstantBandwidth(20.0),
+                         [ConstantBandwidth(4.0) for _ in range(10)],
+                         workload.num_objects)
     spec = RunSpec(warmup=50.0, measure=150.0, topology=topology)
     result = run_policy(workload, ValueDeviation(), policy, spec)
     return (result.weighted_divergence, result.refreshes,
@@ -132,9 +132,9 @@ class TestMulticastDominance:
                 rng=np.random.default_rng(0))
             topo = TopologyConfig(kind="replicated", num_caches=4,
                                   replication=2, delivery=delivery)
-            pol = _make_policy(policy, ConstantBandwidth(8.0),
-                               [ConstantBandwidth(4.0) for _ in range(8)],
-                               workload.num_objects)
+            pol = make_policy(policy, ConstantBandwidth(8.0),
+                              [ConstantBandwidth(4.0) for _ in range(8)],
+                              workload.num_objects)
             spec = RunSpec(warmup=50.0, measure=150.0, topology=topo)
             result = run_policy(workload, ValueDeviation(), pol, spec)
             return (result.weighted_divergence,

@@ -19,15 +19,20 @@ from repro.cache.feedback import FeedbackController
 from repro.cache.store import CacheStore
 from repro.cli import main as cli_main
 from repro.experiments.faults import (
-    FaultPoint,
+    FAULTS,
     blackout_graceful,
     empty_plan_is_baseline,
     loss_monotone,
-    render_faults,
     retry_recovers,
-    run_faults,
 )
-from repro.experiments.netcond import _make_policy
+from repro.experiments.harness import (
+    NOT_APPLICABLE,
+    POLICIES,
+    Point,
+    make_policy,
+    render,
+    run,
+)
 from repro.experiments.runner import RunSpec, run_policy
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
@@ -432,9 +437,6 @@ class TestReliableDelivery:
         assert reliable.retransmitted <= 2 * reliable.abandoned + 2 * 3
 
 
-POLICY_NAMES = ("cooperative", "uniform", "competitive", "cgm", "ideal")
-
-
 class TestEmptyPlanPins:
     """An explicit empty FaultPlan (and plan=None) must be bitwise
     indistinguishable from a fault-free run for every policy on both
@@ -450,14 +452,14 @@ class TestEmptyPlanPins:
                                     replication=2, delivery="multicast"),
                      id="replicated-4-multicast"),
     ])
-    @pytest.mark.parametrize("name", POLICY_NAMES)
+    @pytest.mark.parametrize("name", POLICIES)
     def test_empty_plan_bitwise(self, name, topology):
         workload = small_workload()
 
         def run(faults):
             cache_bw, source_bws = profiles(workload)
-            policy = _make_policy(name, cache_bw, source_bws,
-                                  workload.num_objects)
+            policy = make_policy(name, cache_bw, source_bws,
+                                 workload.num_objects)
             result = run_policy(
                 workload, ValueDeviation(), policy,
                 RunSpec(warmup=20.0, measure=100.0, topology=topology,
@@ -631,51 +633,54 @@ class TestShardHardening:
 
 class TestRunFaultsExperiment:
     def test_tiny_matrix_fields(self):
-        points = run_faults(scenarios=("none", "lossy-10"),
-                            topologies=("star",), num_sources=4,
-                            objects_per_source=2, cache_bandwidth=4.0,
-                            source_bandwidth=1.0, warmup=20.0,
-                            measure=60.0)
+        points = run(FAULTS, scenarios=("none", "lossy-10"),
+                     topologies=("star",), sources=4, objects=2,
+                     cache_bandwidth=4.0, source_bandwidth=1.0,
+                     warmup=20.0, measure=60.0)
         assert len(points) == 2
-        by_scenario = {p.scenario: p for p in points}
+        by_scenario = {p.axes["scenario"]: p for p in points}
         none, lossy = by_scenario["none"], by_scenario["lossy-10"]
-        assert set(none.divergence) == set(POLICY_NAMES)
-        assert none.empty_plan_divergence == none.divergence
-        assert none.ttl_divergence is not None
-        assert lossy.retry_divergence is not None
-        assert lossy.dropped["cooperative"] > 0
-        assert none.dropped["cooperative"] == 0
-        assert lossy.empty_plan_divergence == {}  # pin runs on none only
-        text = render_faults(points, "tiny")
+        assert set(POLICIES) <= set(none.arms)
+        for name in POLICIES:
+            assert none.arms[f"{name}+empty-plan"] == none.arms[name]
+        assert "cooperative+ttl" in none.arms
+        assert "cooperative+retry" in lossy.arms
+        assert lossy.arms["cooperative"]["dropped"] > 0
+        assert none.arms["cooperative"]["dropped"] == 0
+        # the pin runs on none only
+        assert "cooperative+empty-plan" not in lossy.arms
+        text = render(FAULTS, points, "tiny")
         assert "lossy-10" in text and "retransmits" in text
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="scenario"):
-            run_faults(scenarios=("packet-gnomes",))
+            run(FAULTS, scenarios=("packet-gnomes",))
         with pytest.raises(ValueError, match="topology"):
-            run_faults(topologies=("torus",))
+            run(FAULTS, topologies=("torus",))
 
 
 def point(scenario, topology="star", coop=0.1, uniform=0.2, retry=None,
           ttl=None):
-    p = FaultPoint(scenario=scenario, topology=topology)
-    p.divergence = {"cooperative": coop, "uniform": uniform}
-    p.refreshes = {"cooperative": 100, "uniform": 100}
-    p.retry_divergence = retry
-    p.ttl_divergence = ttl
+    p = Point(axes={"scenario": scenario, "topology": topology})
+    p.arms = {"cooperative": {"divergence": coop, "refreshes": 100},
+              "uniform": {"divergence": uniform, "refreshes": 100}}
+    if retry is not None:
+        p.arms["cooperative+retry"] = {"divergence": retry}
+    if ttl is not None:
+        p.arms["cooperative+ttl"] = {"divergence": ttl}
     return p
 
 
 class TestVerdicts:
     def test_empty_plan_verdict(self):
         good = point("none")
-        good.empty_plan_divergence = dict(good.divergence)
-        good.empty_plan_refreshes = dict(good.refreshes)
+        for name in ("cooperative", "uniform"):
+            good.arms[f"{name}+empty-plan"] = dict(good.arms[name])
         assert empty_plan_is_baseline([good])
         bad = point("none")
-        bad.empty_plan_divergence = {"cooperative": 0.999,
-                                     "uniform": 0.2}
-        bad.empty_plan_refreshes = dict(bad.refreshes)
+        bad.arms["cooperative+empty-plan"] = {"divergence": 0.999,
+                                              "refreshes": 100}
+        bad.arms["uniform+empty-plan"] = dict(bad.arms["uniform"])
         assert not empty_plan_is_baseline([bad])
         assert not empty_plan_is_baseline([])  # vacuous is not a pass
 
@@ -721,6 +726,6 @@ class TestFaultsCLI:
         text = capsys.readouterr().out
         assert "E12 fault injection" in text
         assert "empty fault plan == fault-free baseline" in text
-        assert "n/a (scenario not in this matrix)" in text  # no blackout
+        assert NOT_APPLICABLE in text  # no blackout
         assert out.read_text() == text.rstrip("\n") + "\n" \
             or out.read_text().startswith("E12")

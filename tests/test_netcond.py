@@ -2,40 +2,39 @@
 
 import pytest
 
+from repro.experiments.harness import POLICIES, Point, render, run
 from repro.experiments.netcond import (
-    POLICIES,
-    NetCondPoint,
+    NETCOND,
     graceful_degradation,
     outage_degrades,
-    render_netcond,
-    run_netcond,
     run_netcond_scale,
     steady_matches_constant,
 )
 
-SMALL = dict(num_sources=6, objects_per_source=3, warmup=30.0,
-             measure=90.0)
+SMALL = dict(sources=6, objects=3, warmup=30.0, measure=90.0)
 
 
 @pytest.fixture(scope="module")
 def small_matrix():
-    return run_netcond(scenarios=("steady", "outage"),
-                       topologies=("star",), **SMALL)
+    return run(NETCOND, scenarios=("steady", "outage"),
+               topologies=("star",), **SMALL)
 
 
 class TestRunNetCond:
     def test_matrix_shape(self, small_matrix):
         assert len(small_matrix) == 2
-        cells = {(p.scenario, p.topology) for p in small_matrix}
+        cells = {(p.axes["scenario"], p.axes["topology"])
+                 for p in small_matrix}
         assert cells == {("steady", "star"), ("outage", "star")}
         for point in small_matrix:
-            assert set(point.divergence) == set(POLICIES)
-            assert all(d >= 0.0 for d in point.divergence.values())
+            assert set(POLICIES) <= set(point.arms)
+            assert all(point.arms[name]["divergence"] >= 0.0
+                       for name in POLICIES)
 
     def test_steady_cell_carries_constant_control(self, small_matrix):
-        by_scenario = {p.scenario: p for p in small_matrix}
-        assert by_scenario["steady"].constant_control is not None
-        assert by_scenario["outage"].constant_control is None
+        by_scenario = {p.axes["scenario"]: p for p in small_matrix}
+        assert "cooperative+constant" in by_scenario["steady"].arms
+        assert "cooperative+constant" not in by_scenario["outage"].arms
 
     def test_steady_trace_is_bitwise_control(self, small_matrix):
         assert steady_matches_constant(small_matrix)
@@ -44,20 +43,19 @@ class TestRunNetCond:
         assert outage_degrades(small_matrix)
 
     def test_workers_bit_identical(self):
-        serial = run_netcond(scenarios=("steady",),
-                             topologies=("star", "sharded-4"),
-                             workers=1, **SMALL)
-        parallel = run_netcond(scenarios=("steady",),
-                               topologies=("star", "sharded-4"),
-                               workers=2, **SMALL)
+        serial = run(NETCOND, scenarios=("steady",),
+                     topologies=("star", "sharded-4"), workers=1, **SMALL)
+        parallel = run(NETCOND, scenarios=("steady",),
+                       topologies=("star", "sharded-4"), workers=2,
+                       **SMALL)
         assert serial == parallel
 
     def test_unknown_topology_rejected(self):
-        with pytest.raises(ValueError, match="unknown topology"):
-            run_netcond(topologies=("ring",), **SMALL)
+        with pytest.raises(ValueError, match="invalid topology 'ring'"):
+            run(NETCOND, topologies=("ring",), **SMALL)
 
     def test_render(self, small_matrix):
-        text = render_netcond(small_matrix, title="E11 test")
+        text = render(NETCOND, small_matrix, title="E11 test")
         assert "E11 test" in text
         assert "steady" in text and "outage" in text
         for name in POLICIES:
@@ -69,11 +67,12 @@ class TestVerdictHelpers:
     @staticmethod
     def point(scenario, topology="star", coop=1.0, unif=1.0,
               control=None):
-        return NetCondPoint(
-            scenario=scenario, topology=topology,
-            divergence={"cooperative": coop, "uniform": unif},
-            refreshes={"cooperative": 10, "uniform": 10},
-            constant_control=control)
+        arms = {"cooperative": {"divergence": coop, "refreshes": 10},
+                "uniform": {"divergence": unif, "refreshes": 10}}
+        if control is not None:
+            arms["cooperative+constant"] = {"divergence": control}
+        return Point(axes={"scenario": scenario, "topology": topology},
+                     arms=arms)
 
     def test_steady_matches_requires_exact_control(self):
         good = [self.point("steady", coop=0.5, control=0.5)]

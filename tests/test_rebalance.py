@@ -20,21 +20,16 @@ import pytest
 from repro.cache.cache import CacheNode, WindowStats
 from repro.cache.feedback import FeedbackController
 from repro.cache.store import CacheStore
-from repro.cli import main as cli_main
 from repro.core.divergence import ValueDeviation
 from repro.core.objects import DataObject
 from repro.core.priority import AreaPriority
-from repro.experiments.netcond import _make_policy
+from repro.experiments.harness import Cell, Point, make_policy, render, run
 from repro.experiments.rebalance import (
     ARMS,
-    RebalanceCell,
-    RebalancePoint,
-    _run_rebalance_cell,
+    REBALANCE,
     adaptive_beats_static,
     adaptive_migrates,
     inert_matches_static,
-    render_rebalance,
-    run_rebalance,
 )
 from repro.experiments.runner import RunSpec, run_policy
 from repro.network.bandwidth import (
@@ -153,7 +148,7 @@ class TestTopologySurplusTelemetry:
                        topology=TopologyConfig(kind="sharded",
                                                num_caches=2))
         for name in ("cooperative", "uniform"):
-            policy = _make_policy(
+            policy = make_policy(
                 name, ConstantBandwidth(8.0),
                 [ConstantBandwidth(2.0)
                  for _ in range(workload.num_sources)],
@@ -578,71 +573,60 @@ class TestRebalancerWiring:
 # ----------------------------------------------------------------------
 # E13: the experiment driver
 # ----------------------------------------------------------------------
-def short_cell(**overrides):
-    params = dict(num_caches=4, num_sources=16, objects_per_source=8,
-                  cache_bandwidth=24.0, source_bandwidth=4.0,
-                  num_phases=4, hot_boost=25.0, rate_lo=0.02,
-                  rate_hi=0.12, interval=10.0, max_moves=2,
-                  saturation_queue=2, peer_rate=4.0,
-                  warmup=50.0, measure=200.0, seed=0,
-                  generator="vectorized")
+def short_cell(num_caches=4, **overrides):
+    params = {p.name: p.default for p in REBALANCE.params}
+    params.update(warmup=50.0, measure=200.0)
     params.update(overrides)
-    return RebalanceCell(**params)
+    return Cell(axes={"num_caches": num_caches}, params=params)
 
 
 class TestE13Experiment:
     def test_adaptive_beats_static_and_migrates(self):
-        point = _run_rebalance_cell(short_cell())
-        assert point.migrations["adaptive"] > 0
-        assert point.migrations["static"] == 0
-        assert point.migrations["inert"] == 0
-        assert (point.divergence["adaptive"]
-                < point.divergence["static"])
+        arms = REBALANCE.cell(short_cell())
+        assert arms["adaptive"]["migrations"] > 0
+        assert arms["static"]["migrations"] == 0
+        assert arms["inert"]["migrations"] == 0
+        assert (arms["adaptive"]["divergence"]
+                < arms["static"]["divergence"])
 
     def test_inert_is_bitwise_static(self):
-        point = _run_rebalance_cell(short_cell(num_caches=2,
-                                               measure=120.0))
-        assert point.divergence["inert"] == point.divergence["static"]
-        assert point.refreshes["inert"] == point.refreshes["static"]
-        assert point.messages["inert"] >= point.messages["static"]
+        arms = REBALANCE.cell(short_cell(num_caches=2, measure=120.0))
+        assert arms["inert"]["divergence"] == arms["static"]["divergence"]
+        assert arms["inert"]["refreshes"] == arms["static"]["refreshes"]
+        assert arms["inert"]["messages"] >= arms["static"]["messages"]
 
     def test_single_cache_arms_coincide(self):
-        point = _run_rebalance_cell(short_cell(
-            num_caches=1, num_sources=4, objects_per_source=4,
-            warmup=20.0, measure=60.0))
-        values = set(point.divergence.values())
+        arms = REBALANCE.cell(short_cell(
+            num_caches=1, sources=4, objects=4, warmup=20.0,
+            measure=60.0))
+        values = {arm["divergence"] for arm in arms.values()}
         assert len(values) == 1
-        assert point.migrations["adaptive"] == 0
+        assert arms["adaptive"]["migrations"] == 0
 
     def test_run_rebalance_parallel_is_serial(self):
-        kwargs = dict(cache_counts=(1, 2), num_sources=8,
-                      objects_per_source=4, cache_bandwidth=12.0,
-                      num_phases=2, warmup=30.0, measure=90.0, seed=1)
-        serial = run_rebalance(workers=1, **kwargs)
-        fanned = run_rebalance(workers=2, **kwargs)
-        assert [p.divergence for p in serial] == \
-            [p.divergence for p in fanned]
+        kwargs = dict(num_caches=(1, 2), sources=8, objects=4,
+                      cache_bandwidth=12.0, phases=2, warmup=30.0,
+                      measure=90.0, seed=1)
+        serial = run(REBALANCE, workers=1, **kwargs)
+        fanned = run(REBALANCE, workers=2, **kwargs)
+        assert serial == fanned
 
     def test_bad_cache_count_rejected(self):
-        with pytest.raises(ValueError):
-            run_rebalance(cache_counts=(0,))
+        with pytest.raises(ValueError, match="num_caches 0"):
+            run(REBALANCE, num_caches=(0,))
 
 
 class TestVerdictHelpers:
     def points(self):
-        good = RebalancePoint(
-            num_caches=2,
-            divergence={"static": 1.0, "inert": 1.0,
-                        "adaptive": 0.7, "distributed": 0.8},
-            refreshes={"static": 50, "inert": 50,
-                       "adaptive": 55, "distributed": 52},
-            migrations={"static": 0, "inert": 0,
-                        "adaptive": 3, "distributed": 2})
-        single = RebalancePoint(
-            num_caches=1,
-            divergence={arm: 0.5 for arm in ARMS},
-            refreshes={arm: 40 for arm in ARMS},
-            migrations={arm: 0 for arm in ARMS})
+        good = Point(axes={"num_caches": 2}, arms={
+            arm: {"divergence": div, "refreshes": refreshes,
+                  "migrations": moves}
+            for arm, div, refreshes, moves in (
+                ("static", 1.0, 50, 0), ("inert", 1.0, 50, 0),
+                ("adaptive", 0.7, 55, 3), ("distributed", 0.8, 52, 2))})
+        single = Point(axes={"num_caches": 1}, arms={
+            arm: {"divergence": 0.5, "refreshes": 40, "migrations": 0}
+            for arm in ARMS})
         return [single, good]
 
     def test_all_pass_on_good_points(self):
@@ -653,38 +637,26 @@ class TestVerdictHelpers:
 
     def test_inert_divergence_fails_pin(self):
         points = self.points()
-        points[1].divergence["inert"] = 1.0000001
+        points[1].arms["inert"]["divergence"] = 1.0000001
         assert not inert_matches_static(points)
 
     def test_zero_migrations_fail(self):
         points = self.points()
-        points[1].migrations["adaptive"] = 0
+        points[1].arms["adaptive"]["migrations"] = 0
         assert not adaptive_migrates(points)
 
     def test_single_cache_only_is_vacuous(self):
-        single = [p for p in self.points() if p.num_caches == 1]
+        single = [p for p in self.points() if p.axes["num_caches"] == 1]
         assert not adaptive_migrates(single)
         assert not adaptive_beats_static(single)
 
     def test_render_contains_verdicts_and_warns(self):
         points = self.points()
-        text = render_rebalance(points, "E13 smoke")
+        text = render(REBALANCE, points, "E13 smoke")
         assert "E13 smoke" in text
         assert "WARNING" not in text
-        points[1].divergence["adaptive"] = 2.0
-        assert "WARNING: violated" in render_rebalance(points, "t")
-
-
-class TestRebalanceCLI:
-    def test_cli_smoke(self, capsys):
-        cli_main(["rebalance", "--num-caches", "1", "2",
-                  "--sources", "8", "--objects", "4",
-                  "--cache-bandwidth", "12", "--phases", "2",
-                  "--warmup", "30", "--measure", "90",
-                  "--workers", "1"])
-        out = capsys.readouterr().out
-        assert "E13 shard rebalancing" in out
-        assert "inert rebalancer == static sharding" in out
+        points[1].arms["adaptive"]["divergence"] = 2.0
+        assert "WARNING: violated" in render(REBALANCE, points, "t")
 
 
 # ----------------------------------------------------------------------
@@ -740,9 +712,9 @@ class TestRebalancerOffPins:
                        topology=topology)
         result = run_policy(
             workload, ValueDeviation(),
-            _make_policy(policy_name, ConstantBandwidth(6.0),
-                         [ConstantBandwidth(1.5) for _ in range(8)],
-                         workload.num_objects),
+            make_policy(policy_name, ConstantBandwidth(6.0),
+                        [ConstantBandwidth(1.5) for _ in range(8)],
+                        workload.num_objects),
             spec)
         divergence, refreshes, messages = OFF_PINS[
             (policy_name, topo_name)]
