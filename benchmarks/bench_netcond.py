@@ -25,10 +25,9 @@ non-failing perf-smoke job, while the verdict asserts are hard
 everywhere.
 """
 
-import json
 from dataclasses import asdict
 
-from conftest import run_once
+from conftest import run_once, write_bench_section
 
 from repro.experiments.harness import run
 from repro.experiments.netcond import NETCOND, run_netcond_scale
@@ -72,20 +71,12 @@ def test_netcond_100000_sources_trace_fast_path(benchmark):
     steady = by_bandwidth.pop("steady")
     (trace,) = by_bandwidth.values()
 
-    try:
-        with open("BENCH_scale.current.json") as f:
-            payload = json.load(f)
-    except FileNotFoundError:
-        payload = {"experiment": "E9-extreme"}
-    payload["netcond"] = {
+    write_bench_section("netcond", {
         "budget_seconds": SCALE_BUDGET_SECONDS,
         "trace_overhead_limit": TRACE_OVERHEAD_LIMIT,
         "trace_overhead": trace.wall_seconds / steady.wall_seconds,
         "points": [asdict(p) for p in points],
-    }
-    with open("BENCH_scale.current.json", "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
+    })
 
     for point in points:
         assert point.scheduling == "event"

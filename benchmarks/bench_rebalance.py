@@ -24,11 +24,10 @@ non-failing perf-smoke job, while the verdict asserts are hard
 everywhere.
 """
 
-import json
 import time
 
 import numpy as np
-from conftest import run_once
+from conftest import run_once, write_bench_section
 
 from repro.core.divergence import ValueDeviation
 from repro.experiments.harness import make_policy, render, run
@@ -99,20 +98,12 @@ def test_rebalance_machinery_overhead(benchmark):
         "the inert rebalancer changed the cooperative result"
 
     ratio = wall_on / wall_off
-    try:
-        with open("BENCH_scale.current.json") as f:
-            payload = json.load(f)
-    except FileNotFoundError:
-        payload = {"experiment": "E9-extreme"}
-    payload["rebalance"] = {
+    write_bench_section("rebalance", {
         "machinery_overhead_limit": MACHINERY_OVERHEAD_LIMIT,
         "machinery_overhead": ratio,
         "wall_off_seconds": wall_off,
         "wall_on_seconds": wall_on,
-    }
-    with open("BENCH_scale.current.json", "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
+    })
 
     assert ratio <= MACHINERY_OVERHEAD_LIMIT, (
         f"inert-rebalancer run {ratio:.2f}x the bare wall "

@@ -43,10 +43,10 @@ def build_wall(seed: int, horizon: float, grid: int = 6):
     # by re-sampling the workload with explicit rates.
     rates = np.array(workload.rates)
     rates[active] = 1.0
-    from repro.workloads.synthetic import _trace_from_times
-    from repro.workloads.update_process import bernoulli_tick_times
-    times = [bernoulli_tick_times(r, horizon, rng) for r in rates]
-    workload.trace = _trace_from_times(times, rng, tiles)
+    from repro.workloads.synthetic import _trace_from_event_stream
+    from repro.workloads.update_process import bernoulli_tick_times_batch
+    times, owners = bernoulli_tick_times_batch(rates, horizon, rng)
+    workload.trace = _trace_from_event_stream(times, owners, rng, tiles)
     workload.rates = rates
     # Prominence: center tiles weighted up, the speaker tile most.
     weights = np.ones(tiles)

@@ -198,9 +198,8 @@ def _cmd_readmodel(args: argparse.Namespace) -> str:
                            objects_per_source=args.objects,
                            source_bandwidth=args.source_bandwidth,
                            warmup=args.warmup, measure=args.measure,
-                           seed=args.seed, generator=args.generator,
-                           replay=args.replay, delivery=args.delivery,
-                           workers=args.workers)
+                           seed=args.seed, replay=args.replay,
+                           delivery=args.delivery, workers=args.workers)
     return render_readmodel(
         points, f"Replicated read model ({args.num_caches} caches): "
                 "read-observed divergence by read policy")
@@ -214,7 +213,6 @@ def _cmd_scale(args: argparse.Namespace) -> str:
                        warmup=args.warmup, measure=args.measure,
                        seed=args.seed,
                        max_tick_sources=args.max_tick_sources,
-                       generator=args.generator,
                        replays=(("event", "batched")
                                 if args.replay == "both"
                                 else (args.replay,)),
@@ -222,8 +220,7 @@ def _cmd_scale(args: argparse.Namespace) -> str:
                        shard_caches=args.shard_caches)
     return render_scale(
         points, "E9 scale sweep: event-driven wakeups vs per-tick scans "
-                f"(sparse updates, lambda = {args.update_rate}/s, "
-                f"{args.generator} generation)")
+                f"(sparse updates, lambda = {args.update_rate}/s)")
 
 
 def _cmd_profile(args: argparse.Namespace) -> str:
@@ -383,9 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objects", type=int, default=4,
                    help="objects per source")
     p.add_argument("--source-bandwidth", type=float, default=3.0)
-    p.add_argument("--generator", choices=["vectorized", "legacy"],
-                   default="vectorized",
-                   help="workload + read-stream sampling implementation")
     p.add_argument("--replay", choices=["batched", "event"],
                    default="batched",
                    help="trace/read replay mode (batched = apply all "
@@ -411,10 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the tick-scan baseline above this m "
                         "(it is O(ticks x m); the result is pinned "
                         "identical anyway)")
-    p.add_argument("--generator", choices=["vectorized", "legacy"],
-                   default="vectorized",
-                   help="workload sampling implementation (legacy = the "
-                        "per-object loops, for generation-cost baselines)")
     p.add_argument("--replay", choices=["batched", "event", "both"],
                    default="batched",
                    help="trace replay mode; 'both' times the per-event "

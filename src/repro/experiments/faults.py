@@ -50,7 +50,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.experiments.harness import (
-    COMMON,
     POLICIES,
     Axis,
     Cell,
@@ -63,6 +62,7 @@ from repro.experiments.harness import (
     cell_spec,
     cell_workload,
     run_arm,
+    timing,
 )
 from repro.experiments.netcond import LAYOUTS, TOPOLOGIES
 from repro.faults.plan import FAULT_SCENARIOS, FaultPlan, fault_scenario
@@ -254,7 +254,7 @@ FAULTS = Experiment(
         Param("feedback_ttl", 40.0,
               "source-side feedback staleness TTL in the "
               "graceful-degradation arm"),
-        *COMMON,
+        *timing(),
     ),
     cell=_faults_cell,
     columns=("scenario", "layout", *POLICIES, "dropped"),

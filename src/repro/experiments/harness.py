@@ -203,14 +203,6 @@ def timing(warmup: float = 100.0,
     )
 
 
-#: the trailing knobs of every E11-E14 declaration
-COMMON = (
-    Param("generator", "vectorized", "workload sampling implementation",
-          choices=("vectorized", "legacy")),
-    *timing(),
-)
-
-
 # ----------------------------------------------------------------------
 # Running and rendering
 # ----------------------------------------------------------------------
@@ -270,8 +262,7 @@ def cell_workload(cell: Cell, builder=uniform_random_walk,
     return build_workload(WorkloadSpec.make(
         builder, cell["seed"], num_sources=cell["sources"],
         objects_per_source=cell["objects"],
-        horizon=cell["warmup"] + cell["measure"],
-        generator=cell["generator"], **kwargs))
+        horizon=cell["warmup"] + cell["measure"], **kwargs))
 
 
 def cell_spec(cell: Cell, topology=None, **kwargs: Any) -> RunSpec:

@@ -73,7 +73,6 @@ class MultiCacheCell:
     measure: float
     seed: int
     cache_rates: tuple[float, ...] | None
-    generator: str
     delivery: str = "unicast"
 
 
@@ -87,8 +86,7 @@ def _run_multicache_cell(cell: MultiCacheCell) -> MultiCachePoint:
         hotspot_shards, cell.seed, num_sources=cell.num_sources,
         objects_per_source=cell.objects_per_source,
         horizon=cell.warmup + cell.measure,
-        hot_fraction=cell.hot_fraction, hot_boost=cell.hot_boost,
-        generator=cell.generator)
+        hot_fraction=cell.hot_fraction, hot_boost=cell.hot_boost)
     workload = build_workload(wspec)
     metric = ValueDeviation()
     num_caches = cell.num_caches
@@ -138,7 +136,6 @@ def run_multicache(num_caches_list: tuple[int, ...] = (1, 2, 4, 8),
                    measure: float = 400.0,
                    seed: int = 0,
                    cache_rates: tuple[float, ...] | None = None,
-                   generator: str = "vectorized",
                    delivery: str = "unicast",
                    workers: int = 1) -> list[MultiCachePoint]:
     """Sweep cache-node counts on one seeded hot-shard workload.
@@ -165,7 +162,7 @@ def run_multicache(num_caches_list: tuple[int, ...] = (1, 2, 4, 8),
         source_bandwidth=source_bandwidth,
         hot_fraction=hot_fraction, hot_boost=hot_boost,
         warmup=warmup, measure=measure, seed=seed,
-        cache_rates=cache_rates, generator=generator, delivery=delivery)
+        cache_rates=cache_rates, delivery=delivery)
         for num_caches in num_caches_list]
     return ParallelRunner(workers).map(_run_multicache_cell, cells)
 

@@ -36,7 +36,6 @@ it did not pay for.
 from __future__ import annotations
 
 from repro.experiments.harness import (
-    COMMON,
     POLICIES,
     Axis,
     Cell,
@@ -49,6 +48,7 @@ from repro.experiments.harness import (
     cell_spec,
     cell_workload,
     run_arm,
+    timing,
 )
 from repro.network.delivery import DELIVERY_MODES
 from repro.network.topology import TopologyConfig
@@ -176,7 +176,7 @@ MULTICAST = Experiment(
               "aggregate cache-side msgs/s (keep the links saturated: an "
               "idle network hides the planes' cost difference)"),
         Param("source_bandwidth", 4.0, "per-source msgs/s"),
-        *COMMON,
+        *timing(),
     ),
     cell=_multicast_cell,
     columns=("delivery", "repl", *POLICIES, "coop units"),

@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.core.divergence import ValueDeviation
 from repro.experiments.harness import (
-    COMMON,
     POLICIES,
     Axis,
     Cell,
@@ -47,6 +46,7 @@ from repro.experiments.harness import (
     cell_workload,
     make_policy,
     run_arm,
+    timing,
 )
 from repro.experiments.runner import RunSpec, run_policy
 from repro.network.bandwidth import ConstantBandwidth
@@ -95,8 +95,7 @@ def run_netcond_scale(num_sources: int = 100_000,
                       warmup: float = 100.0,
                       measure: float = 500.0,
                       seed: int = 0,
-                      num_breakpoints: int = 1000,
-                      generator: str = "vectorized"):
+                      num_breakpoints: int = 1000):
     """E9-style sparse run, trace-driven vs constant bandwidth.
 
     One m-source sparse workload, two event-mode cooperative runs: plain
@@ -118,8 +117,7 @@ def run_netcond_scale(num_sources: int = 100_000,
     rng = np.random.default_rng(seed)
     gen_start = time.perf_counter()
     workload = sparse_workload(num_sources, duration, rng,
-                               update_rate=update_rate,
-                               generator=generator)
+                               update_rate=update_rate)
     gen_seconds = time.perf_counter() - gen_start
     metric = ValueDeviation()
     spec = RunSpec(warmup=warmup, measure=measure, seed=seed)
@@ -146,8 +144,7 @@ def run_netcond_scale(num_sources: int = 100_000,
             weighted_divergence=result.weighted_divergence,
             refreshes=result.refreshes,
             feedback_messages=result.feedback_messages,
-            gen_seconds=gen_seconds, generator=generator,
-            bandwidth=bandwidth))
+            gen_seconds=gen_seconds, bandwidth=bandwidth))
         del policy, result
         gc.collect()
     return points
@@ -227,7 +224,7 @@ NETCOND = Experiment(
               "mean aggregate cache-side msgs/s (the scenario trace "
               "fluctuates around it)"),
         Param("source_bandwidth", 4.0, "mean per-source msgs/s"),
-        *COMMON,
+        *timing(),
     ),
     cell=_netcond_cell,
     columns=("scenario", "layout", *POLICIES),

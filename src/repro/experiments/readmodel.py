@@ -243,7 +243,6 @@ class ReadModelCell:
     warmup: float
     measure: float
     seed: int
-    generator: str
     replay: str
     delivery: str = "unicast"
 
@@ -259,14 +258,14 @@ def _readmodel_streams(cell: ReadModelCell):
     wspec = WorkloadSpec.make(
         uniform_random_walk, cell.seed, num_sources=cell.num_sources,
         objects_per_source=cell.objects_per_source,
-        horizon=cell.warmup + cell.measure, generator=cell.generator)
+        horizon=cell.warmup + cell.measure)
     workload = build_workload(wspec)
     key = (wspec, cell.read_rate)
     read_trace = _read_trace_cache.get(key)
     if read_trace is None:
         read_trace = workload.read_stream(
             RngRegistry(cell.seed).stream("read-workload"),
-            read_rate=cell.read_rate, generator=cell.generator)
+            read_rate=cell.read_rate)
         _read_trace_cache.clear()
         _read_trace_cache[key] = read_trace
     return workload, read_trace
@@ -323,7 +322,6 @@ def run_readmodel(num_caches: int = 3,
                   warmup: float = 100.0,
                   measure: float = 400.0,
                   seed: int = 0,
-                  generator: str = "vectorized",
                   replay: str = "batched",
                   delivery: str = "unicast",
                   workers: int = 1) -> list[ReadModelPoint]:
@@ -363,7 +361,6 @@ def run_readmodel(num_caches: int = 3,
                     warmup=warmup,
                     measure=measure,
                     seed=seed,
-                    generator=generator,
                     replay=replay,
                     delivery=delivery))
     return ParallelRunner(workers).map(_run_readmodel_cell, cells)

@@ -36,7 +36,6 @@ adaptive rule must justify its global view against.
 from __future__ import annotations
 
 from repro.experiments.harness import (
-    COMMON,
     Axis,
     Cell,
     Experiment,
@@ -46,6 +45,7 @@ from repro.experiments.harness import (
     cell_spec,
     cell_workload,
     run_arm,
+    timing,
 )
 from repro.network.topology import TopologyConfig
 from repro.rebalance import RebalanceConfig
@@ -153,7 +153,7 @@ REBALANCE = Experiment(
         Param("saturation_queue", 2,
               "windowed FIFO peak that flags a donor"),
         Param("peer_rate", 4.0, "cache-to-cache peer link msgs/s"),
-        *COMMON,
+        *timing(),
     ),
     cell=_rebalance_cell,
     columns=("caches", *ARMS, "moves(adapt)", "moves(dist)"),

@@ -58,7 +58,6 @@ class ScalePoint:
     refreshes: int
     feedback_messages: int
     gen_seconds: float = 0.0  #: wall clock of workload generation
-    generator: str = "vectorized"  #: sampling implementation used
     replay: str = "batched"  #: trace replay mode used
     workers: int = 1  #: process-pool workers used for this point
     topology: str = "star"  #: cache layout ("star" or "sharded-N")
@@ -68,8 +67,7 @@ class ScalePoint:
 
 def sparse_workload(num_sources: int, horizon: float,
                     rng: np.random.Generator,
-                    update_rate: float = 0.002,
-                    generator: str = "vectorized") -> Workload:
+                    update_rate: float = 0.002) -> Workload:
     """One object per source, all updating at the same sparse Poisson rate.
 
     ``update_rate`` defaults to 0.002/s: with dt = 1 s the expected number
@@ -78,8 +76,7 @@ def sparse_workload(num_sources: int, horizon: float,
     """
     return uniform_random_walk(
         num_sources=num_sources, objects_per_source=1, horizon=horizon,
-        rng=rng, rate_range=(update_rate, update_rate),
-        generator=generator)
+        rng=rng, rate_range=(update_rate, update_rate))
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,6 @@ class ScaleCell:
     warmup: float
     measure: float
     seed: int
-    generator: str
     shard_caches: int | None = None  #: tier-2 shard count (None = star)
     shard_workers: int = 1  #: tier-2 workers inside this cell
 
@@ -111,7 +107,7 @@ def _run_scale_cell(cell: ScaleCell) -> ScalePoint:
     wspec = WorkloadSpec.make(
         sparse_workload, cell.seed, num_sources=cell.num_sources,
         horizon=cell.warmup + cell.measure,
-        update_rate=cell.update_rate, generator=cell.generator)
+        update_rate=cell.update_rate)
     metric = ValueDeviation()
     if cell.shard_caches and cell.shard_caches > 1:
         spec = RunSpec(warmup=cell.warmup, measure=cell.measure,
@@ -160,7 +156,6 @@ def _run_scale_cell(cell: ScaleCell) -> ScalePoint:
         refreshes=result.refreshes,
         feedback_messages=result.feedback_messages,
         gen_seconds=gen_seconds,
-        generator=cell.generator,
         replay=cell.replay,
         workers=workers,
         topology=topology)
@@ -174,7 +169,6 @@ def run_scale(sources: tuple[int, ...] = (100, 1000, 10000),
               measure: float = 500.0,
               seed: int = 0,
               max_tick_sources: int = 2000,
-              generator: str = "vectorized",
               replays: tuple[str, ...] = ("batched",),
               workers: int = 1,
               shard_caches: int | None = None) -> list[ScalePoint]:
@@ -186,10 +180,9 @@ def run_scale(sources: tuple[int, ...] = (100, 1000, 10000),
     ``("event", "batched")`` times the per-event replay loop against the
     batched fast path on the same workload (results must agree bit for
     bit; :func:`check_equivalence` covers the whole cross product).
-    Workload generation is timed separately (``gen_seconds``): at
-    m = 10^5 the vectorized pipeline is the difference between seconds
-    and minutes of setup, and the benchmark suite tracks both times
-    across PRs in ``BENCH_scale.json``.
+    Workload generation is timed separately (``gen_seconds``); the
+    benchmark suite tracks it next to the run's wall clock across PRs in
+    ``BENCH_scale.json``.
 
     ``workers`` > 1 fans the sweep's cells over a process pool
     (:class:`~repro.experiments.parallel.ParallelRunner`); results are
@@ -205,7 +198,7 @@ def run_scale(sources: tuple[int, ...] = (100, 1000, 10000),
                       cache_bandwidth=cache_bandwidth,
                       source_bandwidth=source_bandwidth,
                       warmup=warmup, measure=measure, seed=seed,
-                      generator=generator, shard_caches=shard_caches,
+                      shard_caches=shard_caches,
                       shard_workers=workers)
             for m in sources for replay in replays
         ]
@@ -216,8 +209,7 @@ def run_scale(sources: tuple[int, ...] = (100, 1000, 10000),
                       update_rate=update_rate,
                       cache_bandwidth=cache_bandwidth,
                       source_bandwidth=source_bandwidth,
-                      warmup=warmup, measure=measure, seed=seed,
-                      generator=generator)
+                      warmup=warmup, measure=measure, seed=seed)
             for m in sources
             for scheduling in (("tick", "event") if m <= max_tick_sources
                                else ("event",))
@@ -230,8 +222,7 @@ def run_scale(sources: tuple[int, ...] = (100, 1000, 10000),
         rng = np.random.default_rng(seed)
         gen_start = time.perf_counter()
         workload = sparse_workload(m, warmup + measure, rng,
-                                   update_rate=update_rate,
-                                   generator=generator)
+                                   update_rate=update_rate)
         gen_seconds = time.perf_counter() - gen_start
         schedulings = ("tick", "event") if m <= max_tick_sources \
             else ("event",)
@@ -256,7 +247,6 @@ def run_scale(sources: tuple[int, ...] = (100, 1000, 10000),
                     refreshes=result.refreshes,
                     feedback_messages=result.feedback_messages,
                     gen_seconds=gen_seconds,
-                    generator=generator,
                     replay=replay))
                 # The policy's node graph is cyclic (closures back-ref
                 # the policy) and big at m ~ 10^5; drop it and collect
@@ -266,32 +256,6 @@ def run_scale(sources: tuple[int, ...] = (100, 1000, 10000),
                 del policy, result
                 gc.collect()
     return points
-
-
-def generation_speedup(num_sources: int, horizon: float,
-                       update_rate: float = 0.002,
-                       seed: int = 0) -> dict:
-    """Time vectorized vs. legacy workload generation at one size.
-
-    Returns a dict with both wall clocks and their ratio -- the number the
-    perf-smoke job archives so generation regressions are visible in the
-    ``BENCH_scale.json`` trajectory.
-    """
-    timings = {}
-    for generator in ("vectorized", "legacy"):
-        rng = np.random.default_rng(seed)
-        start = time.perf_counter()
-        sparse_workload(num_sources, horizon, rng,
-                        update_rate=update_rate, generator=generator)
-        timings[generator] = time.perf_counter() - start
-    return {
-        "num_sources": num_sources,
-        "horizon": horizon,
-        "vectorized_seconds": timings["vectorized"],
-        "legacy_seconds": timings["legacy"],
-        "speedup": (timings["legacy"] / timings["vectorized"]
-                    if timings["vectorized"] > 0 else float("inf")),
-    }
 
 
 def speedups(points: list[ScalePoint]) -> dict[int, float]:

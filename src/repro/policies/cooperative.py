@@ -406,11 +406,15 @@ class CooperativePolicy(SyncPolicy):
     def extras(self) -> dict:
         thresholds = [s.threshold.value for s in self.sources]
         sent = sum(s.refreshes_sent for s in self.sources)
+        # A send reaches every cache of its source: count one leg per
+        # replica so in-flight compares with per-replica applications.
+        legs = sum(s.refreshes_sent * len(self.topology.caches_of(j))
+                   for j, s in enumerate(self.sources))
         extras = {
             "mean_threshold": (sum(thresholds) / len(thresholds)
                                if thresholds else 0.0),
             "refreshes_sent": sent,
-            "refreshes_in_flight": (sent - self.refreshes()),
+            "refreshes_in_flight": legs - self.refreshes(),
             "cache_queue_peak": (self.topology.cache_queued_peak()
                                  if self.topology else 0),
         }

@@ -6,10 +6,11 @@ cycles, congestion bursts and outright outages.  This module synthesizes
 network-condition experiment: seeded diurnal cycles, bounded random-walk
 rates, and burst/outage window injection on top of any base trace.
 
-Generators follow the repo's vectorized/legacy split: ``*_rates_batch``
-draws every random quantity in one numpy call, the scalar ``*_rates``
-loops per breakpoint; both consume the generator stream identically, so
-they are seed-for-seed interchangeable (pinned by tests).
+The random-walk rates come in two forms: ``random_walk_rates_batch``
+draws every step in one numpy call, the scalar ``random_walk_rates``
+loops per breakpoint.  Both consume the generator stream identically, so
+they are seed-for-seed interchangeable; the scalar loop is kept as the
+bitwise reference of the batch form (pinned by tests).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def random_walk_rates(num_breakpoints: int, rng: np.random.Generator,
                       mean_rate: float, step_frac: float = 0.1,
                       lo_frac: float = 0.25,
                       hi_frac: float = 2.0) -> np.ndarray:
-    """Bounded random-walk rates, one draw per breakpoint (legacy loop).
+    """Bounded random-walk rates, one draw per breakpoint (reference loop).
 
     Starts at ``mean_rate``; each step adds uniform noise of magnitude
     ``step_frac * mean_rate`` and clamps into

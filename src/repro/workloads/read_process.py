@@ -6,18 +6,10 @@ side: a :class:`ReadTrace` of ``(time, object_index)`` client reads, built
 from per-object Poisson read streams and replayed into a read model by a
 :class:`ReadReplayer`.
 
-Generation mirrors the update pipeline's ``generator=`` split exactly:
-
-* ``"vectorized"`` (default) draws every object's read stream with O(1)
-  numpy calls via :func:`repro.workloads.update_process.poisson_times_batch`
-  -- the only path feasible at ``m ~ 10^5``;
-* ``"legacy"`` draws one object at a time via
-  :func:`repro.workloads.update_process.poisson_times`, kept because its
-  rng-consumption order (and hence every seeded read trace) is pinned by
-  regression tests.
-
-The two produce statistically identical but not bit-identical read streams
-for the same seed, exactly like the update-side generators.
+Generation uses the update pipeline's batched Poisson sampler,
+:func:`repro.workloads.update_process.poisson_times_batch`, which draws
+every object's read stream in O(1) numpy calls; seeded read traces are
+pinned by snapshot tests.
 
 Reads fire in the METRICS phase, after every same-timestamp update has been
 applied and every same-timestamp refresh delivered -- a read at time ``t``
@@ -36,11 +28,7 @@ import numpy as np
 from repro.sim.engine import Simulator
 from repro.sim.events import Phase
 from repro.workloads.trace import batch_end, check_replay_mode
-from repro.workloads.update_process import (
-    merge_event_streams,
-    poisson_times,
-    poisson_times_batch,
-)
+from repro.workloads.update_process import poisson_times_batch
 
 
 @dataclass
@@ -74,36 +62,23 @@ class ReadTrace:
 
 def uniform_reads(num_objects: int, horizon: float,
                   rng: np.random.Generator,
-                  read_rate: float | np.ndarray = 1.0,
-                  generator: str = "vectorized") -> ReadTrace:
+                  read_rate: float | np.ndarray = 1.0) -> ReadTrace:
     """Independent Poisson read streams, one per object.
 
     ``read_rate`` is reads/second per object -- a scalar (every object
     equally popular, the uniform-popularity baseline) or a length-
-    ``num_objects`` array (skewed read popularity).  ``generator`` picks
-    the sampling implementation; see the module docstring.
+    ``num_objects`` array (skewed read popularity).
     """
     rates = np.broadcast_to(np.asarray(read_rate, dtype=float),
                             (num_objects,))
     if (rates < 0).any():
         raise ValueError("read rates must be >= 0")
-    if generator == "vectorized":
-        raw_times, owners = poisson_times_batch(rates, horizon, rng)
-        # Same total order as the update pipeline: time-sorted, ties
-        # broken by object index.
-        order = np.lexsort((owners, raw_times))
-        return ReadTrace(num_objects=num_objects, times=raw_times[order],
-                         object_indices=owners[order])
-    if generator == "legacy":
-        times_per_object = [
-            poisson_times(float(rate), horizon, rng) for rate in rates
-        ]
-        times, indices = merge_event_streams(times_per_object)
-        return ReadTrace(num_objects=num_objects, times=times,
-                         object_indices=indices)
-    raise ValueError(
-        f"unknown generator {generator!r}; expected one of "
-        f"('vectorized', 'legacy')")
+    raw_times, owners = poisson_times_batch(rates, horizon, rng)
+    # Same total order as the update pipeline: time-sorted, ties broken by
+    # object index.
+    order = np.lexsort((owners, raw_times))
+    return ReadTrace(num_objects=num_objects, times=raw_times[order],
+                     object_indices=owners[order])
 
 
 def merge_reads_with_updates(read_trace: ReadTrace, update_trace

@@ -45,6 +45,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["multicache", "--topology", "mesh"])
 
+    @pytest.mark.parametrize("command", [
+        "netcond", "faults", "rebalance", "multicast"])
+    def test_experiment_has_no_generator_flag(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--generator", "legacy"])
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig7"])
@@ -121,15 +127,10 @@ class TestScaleCommand:
         out = capsys.readouterr().out
         assert "tick" not in out.split("scheduler", 1)[1].split("\n")[2]
 
-    def test_scale_generator_flag(self, capsys):
-        assert main(["scale", "--sources", "15", "--warmup", "10",
-                     "--measure", "30", "--generator", "legacy"]) == 0
-        out = capsys.readouterr().out
-        assert "legacy generation" in out
-
     def test_scale_rejects_unknown_generator(self):
+        """Workloads have one sampler: there is no --generator flag."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["scale", "--generator", "turbo"])
+            build_parser().parse_args(["scale", "--generator", "legacy"])
 
 
 class TestNetCondCommand:
@@ -192,8 +193,10 @@ class TestReadModelCommand:
                 "bit-for-bit: yes") in out
 
     def test_readmodel_rejects_unknown_generator(self):
+        """Workloads have one sampler: there is no --generator flag."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["readmodel", "--generator", "x"])
+            build_parser().parse_args(["readmodel", "--generator",
+                                       "legacy"])
 
 
 class TestMulticastCommand:

@@ -7,6 +7,7 @@ from repro.core.divergence import Staleness, ValueDeviation
 from repro.core.priority import AreaPriority, PoissonStalenessPriority
 from repro.experiments.runner import RunSpec, run_policy
 from repro.network.bandwidth import ConstantBandwidth, TraceBandwidth
+from repro.network.topology import TopologyConfig
 from repro.policies.base import SimulationContext
 from repro.policies.cache_driven import CGMPollingPolicy
 from repro.policies.cooperative import CooperativePolicy
@@ -83,6 +84,32 @@ class TestConservation:
         sent = sum(s.refreshes_sent for s in policy.sources)
         in_flight = policy.topology.cache_link.queued
         assert sent == policy.cache.refreshes_applied + in_flight
+
+    @pytest.mark.parametrize("topology", [
+        None,
+        TopologyConfig(kind="sharded", num_caches=2),
+        TopologyConfig(kind="replicated", num_caches=4, replication=3),
+        TopologyConfig(kind="replicated", num_caches=4, replication=3,
+                       delivery="multicast"),
+    ], ids=["star", "sharded-2", "replicated-3-unicast",
+            "replicated-3-multicast"])
+    def test_every_refresh_leg_is_accounted_for(self, topology):
+        """Per cache link, sent = delivered + queued; every leg a source
+        sent (one per cache of the source) is applied, still queued, or
+        discarded as stale behind a fresher replica."""
+        policy = CooperativePolicy(ConstantBandwidth(8.0),
+                                   [ConstantBandwidth(20.0)] * 4,
+                                   PoissonStalenessPriority())
+        result = run_policy(
+            workload(seed=5, rate_range=(0.5, 1.0)), Staleness(), policy,
+            RunSpec(warmup=100.0, measure=300.0, topology=topology))
+        links = policy.topology.cache_links
+        for link in links:
+            assert link.total_sent == link.total_delivered + link.queued
+        in_flight = result.extras["refreshes_in_flight"]
+        assert in_flight >= 0
+        assert in_flight == (sum(link.queued for link in links)
+                             + sum(c.stale_discards for c in policy.caches))
 
     def test_divergence_always_nonnegative(self):
         ctx = SimulationContext(workload(seed=7), ValueDeviation(),

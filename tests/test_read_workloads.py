@@ -2,12 +2,11 @@
 
 Mirrors ``tests/test_vectorized_workloads.py`` for the read side:
 
-* **unit**: both generators produce valid, sorted read traces with the
+* **unit**: the sampler produces valid, sorted read traces with the
   right marginal distributions (exponential inter-read gaps);
-* **rng-order pins**: the legacy path consumes the rng exactly like one
-  ``poisson_times`` call per object, and the vectorized path exactly like
-  one ``poisson_times_batch`` call -- so neither can drift silently;
-* **snapshot**: seed-pinned constants for both generators and for the
+* **rng-order pin**: the sampler consumes the rng exactly like one
+  ``poisson_times_batch`` call -- so it cannot drift silently;
+* **snapshot**: seed-pinned constants for the read stream and for the
   merged update+read stream (updates strictly before reads at equal
   timestamps, the phase order the simulator realizes).
 """
@@ -22,11 +21,7 @@ from repro.workloads.read_process import (
     uniform_reads,
 )
 from repro.workloads.synthetic import uniform_random_walk
-from repro.workloads.update_process import (
-    merge_event_streams,
-    poisson_times,
-    poisson_times_batch,
-)
+from repro.workloads.update_process import poisson_times_batch
 from repro.sim.engine import Simulator
 
 
@@ -49,25 +44,9 @@ class TestReadTrace:
         with pytest.raises(ValueError, match=">= 0"):
             uniform_reads(2, 10.0, np.random.default_rng(0), read_rate=-1.0)
 
-    def test_unknown_generator_rejected(self):
-        with pytest.raises(ValueError, match="unknown generator"):
-            uniform_reads(2, 10.0, np.random.default_rng(0),
-                          generator="turbo")
-
 
 class TestGeneratorRngOrder:
-    """The two sampling paths consume the rng exactly as documented."""
-
-    def test_legacy_matches_per_object_poisson_times(self):
-        rng = np.random.default_rng(3)
-        trace = uniform_reads(4, 50.0, rng, read_rate=0.6,
-                              generator="legacy")
-        rng = np.random.default_rng(3)
-        times, indices = merge_event_streams([
-            poisson_times(0.6, 50.0, rng) for _ in range(4)
-        ])
-        assert np.array_equal(trace.times, times)
-        assert np.array_equal(trace.object_indices, indices)
+    """The sampler consumes the rng exactly as documented."""
 
     def test_vectorized_matches_batched_sampler(self):
         rng = np.random.default_rng(3)
@@ -77,15 +56,6 @@ class TestGeneratorRngOrder:
         order = np.lexsort((owners, raw))
         assert np.array_equal(trace.times, raw[order])
         assert np.array_equal(trace.object_indices, owners[order])
-
-    def test_generators_statistically_compatible(self):
-        make = dict(num_objects=30, horizon=100.0, read_rate=0.5)
-        legacy = uniform_reads(rng=np.random.default_rng(0),
-                               generator="legacy", **make)
-        vectorized = uniform_reads(rng=np.random.default_rng(0),
-                                   generator="vectorized", **make)
-        assert not np.array_equal(legacy.times, vectorized.times)
-        assert len(vectorized) == pytest.approx(len(legacy), rel=0.15)
 
     def test_per_object_read_rates(self):
         """An array read_rate skews per-object read counts accordingly."""
@@ -101,11 +71,10 @@ class TestGeneratorRngOrder:
 class TestInterReadGaps:
     """Poisson streams: exponential gaps with mean 1/rate."""
 
-    @pytest.mark.parametrize("generator", ["vectorized", "legacy"])
-    def test_gap_moments(self, generator):
+    def test_gap_moments(self):
         rate = 0.5
         trace = uniform_reads(200, 400.0, np.random.default_rng(5),
-                              read_rate=rate, generator=generator)
+                              read_rate=rate)
         gaps = []
         for i in range(200):
             own = trace.times[trace.object_indices == i]
@@ -126,7 +95,7 @@ class TestInterReadGaps:
 
 
 class TestSnapshots:
-    """Seed-pinned rng-consumption regressions for both generators."""
+    """Seed-pinned rng-consumption regressions."""
 
     def test_vectorized_snapshot(self):
         rng = np.random.default_rng(42)
@@ -138,15 +107,6 @@ class TestSnapshots:
         assert trace.object_indices[:8].tolist() == [1, 5, 2, 4, 1, 5, 4, 0]
         assert float(trace.times.sum()) == pytest.approx(
             2145.485122691677, abs=1e-6)
-
-    def test_legacy_snapshot(self):
-        rng = np.random.default_rng(42)
-        trace = uniform_reads(6, 30.0, rng, read_rate=0.8,
-                              generator="legacy")
-        assert len(trace) == 145
-        assert trace.object_indices[:8].tolist() == [1, 5, 2, 2, 4, 0, 2, 0]
-        assert float(trace.times.sum()) == pytest.approx(
-            2079.1449468594137, abs=1e-6)
 
     def test_merged_stream_snapshot(self):
         """Updates strictly precede reads at equal timestamps, and the

@@ -488,8 +488,6 @@ class TestMovingHotspot:
             moving_hotspot(4, 2, 10.0, rng, hot_fraction=1.5)
         with pytest.raises(ValueError):
             moving_hotspot(4, 2, 10.0, rng, hot_boost=0.5)
-        with pytest.raises(ValueError):
-            moving_hotspot(4, 2, 10.0, rng, generator="nope")
 
     def test_heat_moves_between_phases(self):
         workload = moving_hotspot(8, 4, horizon=400.0,
@@ -517,13 +515,6 @@ class TestMovingHotspot:
         # Every source is hot for exactly one of four phases:
         # average rate = (9 + 3) / 4 * base.
         np.testing.assert_allclose(workload.rates, 0.3)
-
-    def test_legacy_generator_same_shape(self):
-        workload = moving_hotspot(4, 2, horizon=60.0,
-                                  rng=np.random.default_rng(3),
-                                  num_phases=2, generator="legacy")
-        assert workload.num_objects == 8
-        assert (np.diff(workload.trace.times) >= 0).all()
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 
 from repro.experiments.scale import (
     check_equivalence,
-    generation_speedup,
     render_scale,
     run_scale,
     sparse_workload,
@@ -62,26 +61,4 @@ class TestCheckEquivalence:
 class TestGenerators:
     def test_points_carry_generation_metadata(self):
         points = run_scale(sources=(15,), warmup=10.0, measure=40.0)
-        assert all(p.generator == "vectorized" for p in points)
         assert all(p.gen_seconds >= 0 for p in points)
-
-    def test_legacy_generator_runs(self):
-        points = run_scale(sources=(15,), warmup=10.0, measure=40.0,
-                           generator="legacy")
-        assert check_equivalence(points)
-        assert all(p.generator == "legacy" for p in points)
-
-    def test_same_divergence_shape_across_generators(self):
-        """Different rng consumption order, same model: both generators
-        produce a run with refreshes and finite divergence."""
-        for generator in ("vectorized", "legacy"):
-            points = run_scale(sources=(25,), warmup=10.0, measure=60.0,
-                               generator=generator)
-            assert all(p.refreshes > 0 for p in points)
-
-    def test_generation_speedup_reports_both_paths(self):
-        report = generation_speedup(200, 50.0)
-        assert report["num_sources"] == 200
-        assert report["vectorized_seconds"] > 0
-        assert report["legacy_seconds"] > 0
-        assert report["speedup"] > 0

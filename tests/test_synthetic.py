@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.weights import SineWeights, StaticWeights
-from repro.workloads.random_walk import random_walk_values
+from repro.workloads.random_walk import random_walk_values_batch
 from repro.workloads.synthetic import (
     Workload,
     skewed_validation,
@@ -12,27 +12,33 @@ from repro.workloads.synthetic import (
 )
 
 
+def one_walk(num_updates, rng, initial=0.0, step=1.0):
+    """One object's walk from the batched sampler."""
+    return random_walk_values_batch(np.array([num_updates]), rng,
+                                    np.array([initial]), step=step)
+
+
 class TestRandomWalkValues:
     def test_length(self):
         rng = np.random.default_rng(0)
-        assert len(random_walk_values(10, rng)) == 10
-        assert len(random_walk_values(0, rng)) == 0
+        assert len(one_walk(10, rng)) == 10
+        assert len(one_walk(0, rng)) == 0
 
     def test_steps_are_unit(self):
         rng = np.random.default_rng(1)
-        values = random_walk_values(100, rng, initial=5.0)
+        values = one_walk(100, rng, initial=5.0)
         diffs = np.diff(np.concatenate([[5.0], values]))
         assert set(np.unique(diffs)) <= {-1.0, 1.0}
 
     def test_custom_step(self):
         rng = np.random.default_rng(2)
-        values = random_walk_values(50, rng, step=0.25)
+        values = one_walk(50, rng, step=0.25)
         diffs = np.abs(np.diff(np.concatenate([[0.0], values])))
         np.testing.assert_allclose(diffs, 0.25)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            random_walk_values(-1, np.random.default_rng(0))
+            one_walk(-1, np.random.default_rng(0))
 
 
 class TestUniformRandomWalk:

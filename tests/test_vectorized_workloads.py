@@ -1,17 +1,14 @@
-"""Tests for the vectorized workload pipeline (PR 3 tentpole).
+"""Tests for the batched workload pipeline.
 
 Three layers of guarantees:
 
 * **unit**: the batched samplers produce object-major, per-object-sorted
   event streams with the right marginal distributions, and the segmented
   random-walk cumsum is a genuine +-step walk per object;
-* **snapshot**: seed-pinned regressions of the vectorized path, so the
-  rng consumption order of the new generators cannot drift silently;
-* **legacy bit-for-bit**: ``generator="legacy"`` reproduces the exact
-  fig4 / fig5 / multicache numbers the pre-vectorization code produced
-  (values captured from the seed of this PR), proving both that the
-  legacy sampling path is untouched and that the batched message fast
-  path changed no simulation outcome.
+* **snapshot**: seed-pinned regressions of the samplers, so their rng
+  consumption order cannot drift silently;
+* **outcome pins**: exact fig4 / fig5 / multicache numbers, so no change
+  to the simulator can move a seeded experiment result unnoticed.
 """
 
 import numpy as np
@@ -20,15 +17,8 @@ import pytest
 from repro.experiments.fig4 import Fig4Config, run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.multicache import run_multicache
-from repro.workloads.random_walk import (
-    random_walk_values,
-    random_walk_values_batch,
-)
-from repro.workloads.synthetic import (
-    GENERATORS,
-    skewed_validation,
-    uniform_random_walk,
-)
+from repro.workloads.random_walk import random_walk_values_batch
+from repro.workloads.synthetic import skewed_validation, uniform_random_walk
 from repro.workloads.hotspot import hotspot_shards
 from repro.workloads.update_process import (
     bernoulli_tick_times_batch,
@@ -138,15 +128,6 @@ class TestRandomWalkBatch:
                                        np.zeros(3))
         assert len(out) == 0
 
-    def test_per_object_generator_unchanged(self):
-        """The legacy per-object sampler still consumes the rng as before
-        (one choice call of the walk's length)."""
-        rng = np.random.default_rng(6)
-        walk = random_walk_values(5, rng, initial=1.0)
-        rng = np.random.default_rng(6)
-        steps = rng.choice((-1.0, 1.0), size=5)
-        assert np.array_equal(walk, 1.0 + np.cumsum(steps))
-
 
 class TestVectorizedSnapshots:
     """Seed-pinned regressions: the vectorized rng consumption order."""
@@ -199,12 +180,6 @@ class TestVectorizedSnapshots:
         assert len(hot.trace) > 0
         assert hot.num_objects == 16
 
-    def test_unknown_generator_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="unknown generator"):
-            uniform_random_walk(2, 2, 10.0, rng, generator="turbo")
-        assert GENERATORS == ("vectorized", "legacy")
-
     def test_owner_array_matches_source_of(self):
         rng = np.random.default_rng(0)
         workload = uniform_random_walk(3, 4, 10.0, rng)
@@ -213,30 +188,22 @@ class TestVectorizedSnapshots:
         assert all(workload.source_of(i) == i // 4 for i in range(12))
 
 
-class TestLegacyBitForBit:
-    """``generator="legacy"`` reproduces the pre-PR experiment numbers.
+class TestOutcomePins:
+    """Seeded experiment outcomes, pinned exactly.
 
-    The fig5 and multicache constants below were captured from the repo
-    state *before* the vectorized pipeline and the batched message fast
-    path landed; an exact match proves both changes preserved every
-    simulated outcome on the legacy sampling path.  (fig5's buoy trace
-    generation was already epoch-vectorized and is shared by both
-    generators.)
-
-    fig4 is the one pinned experiment that integrates *fluctuating*
-    weights through the collector's resample cadence, so its values moved
-    (4th decimal) when the resample weight-evaluation fix landed in this
-    same PR -- resample now weighs each closed piece at its start, as
-    ``record`` always did, instead of at its end.  Its pins are therefore
-    captured with that fix in place and lock the legacy sampling path
-    against any future drift.
+    The fig5 constants were captured before the batched samplers and the
+    batched message fast path landed (fig5's buoy trace is generated by
+    its own epoch-vectorized code).  The fig4 and multicache constants
+    were captured on the batched samplers, just before the per-object
+    sampling path was deleted; together they lock every simulated
+    outcome of the three experiments against drift.
     """
 
     FIG4_PINS = [
-        ("deviation", 0.0, 0.3144738581612014, 0.6803004358256883),
-        ("lag", 0.0, 0.5736458367179945, 1.7788174569487216),
-        ("deviation", 0.25, 0.41431139134266043, 0.9487451378471574),
-        ("lag", 0.25, 0.9198072824807815, 1.9552235494307562),
+        ("deviation", 0.0, 0.5147302464542121, 1.0355687286585165),
+        ("lag", 0.0, 0.7836545675879729, 2.203696188157975),
+        ("deviation", 0.25, 0.7510256547599358, 1.3325658245288594),
+        ("lag", 0.25, 1.2880814123637274, 4.1624851233644184),
     ]
 
     FIG5_PINS = [
@@ -245,18 +212,17 @@ class TestLegacyBitForBit:
     ]
 
     MULTICACHE_PINS = [
-        (0.5609463123684587, 0.7476762284859844, 2291, 2400),
-        (0.6986720745360918, 0.7476762284859844, 2290, 2400),
+        (0.5761087442800995, 0.7334185839760353, 2292, 2400),
+        (0.6695494300542557, 0.7334185839760353, 2293, 2400),
     ]
 
-    def test_fig4_legacy_pinned(self):
+    def test_fig4_pinned(self):
         config = Fig4Config(sources=(3,), objects_per_source=(4,),
                             source_bandwidths=(1.0,),
                             cache_bandwidths=(2.0,),
                             change_rates=(0.0, 0.25),
                             metrics=("deviation", "lag"),
-                            warmup=20.0, measure=80.0, seed=0,
-                            generator="legacy")
+                            warmup=20.0, measure=80.0, seed=0)
         points = run_fig4(config)
         got = [(p.metric, p.change_rate, p.ideal_divergence,
                 p.actual_divergence) for p in points]
@@ -268,28 +234,13 @@ class TestLegacyBitForBit:
         got = [(p.ideal_divergence, p.actual_divergence) for p in points]
         assert got == self.FIG5_PINS
 
-    def test_multicache_legacy_pinned(self):
+    def test_multicache_pinned(self):
         points = run_multicache(num_caches_list=(1, 2), num_sources=8,
                                 objects_per_source=4,
                                 cache_bandwidth=12.0,
                                 source_bandwidth=2.0,
-                                warmup=50.0, measure=150.0, seed=0,
-                                generator="legacy")
+                                warmup=50.0, measure=150.0, seed=0)
         got = [(p.cooperative_divergence, p.uniform_divergence,
                 p.cooperative_refreshes, p.uniform_refreshes)
                for p in points]
         assert got == self.MULTICACHE_PINS
-
-    def test_legacy_and_vectorized_statistically_compatible(self):
-        """Same seed, different generators: different traces, same
-        workload shape and closely matching aggregate event counts."""
-        make = dict(num_sources=20, objects_per_source=2, horizon=200.0)
-        legacy = uniform_random_walk(
-            rng=np.random.default_rng(0), generator="legacy", **make)
-        vectorized = uniform_random_walk(
-            rng=np.random.default_rng(0), generator="vectorized", **make)
-        assert np.array_equal(legacy.rates, vectorized.rates)
-        assert not np.array_equal(legacy.trace.times,
-                                  vectorized.trace.times)
-        assert len(vectorized.trace) == pytest.approx(len(legacy.trace),
-                                                      rel=0.15)
