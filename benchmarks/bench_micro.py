@@ -3,20 +3,25 @@
 Unlike the experiment benches (one pedantic round each), these run real
 timing rounds: they exist to catch performance regressions in the inner
 loops every simulation hammers -- priority-queue churn, divergence
-bookkeeping, link transmission, and the event queue.
+bookkeeping, link transmission, and the event queue -- plus the
+per-source set-up cost of attaching the cooperative policy.
 """
 
 import numpy as np
 
 from repro.core.divergence import ValueDeviation
 from repro.core.objects import DataObject
+from repro.core.priority import AreaPriority
 from repro.core.tracking import PriorityTracker
 from repro.core.weights import StaticWeights
+from repro.experiments.runner import RunSpec, make_context
+from repro.experiments.scale import sparse_workload
 from repro.metrics.collector import DivergenceCollector
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.link import Link
 from repro.network.messages import RefreshMessage
-from repro.sim.engine import Simulator
+from repro.policies.cooperative import CooperativePolicy
+from repro.sim.engine import Simulator, gc_paused
 
 
 def test_tracker_update_pop_churn(benchmark):
@@ -110,3 +115,31 @@ def test_event_queue_throughput(benchmark):
 
     count = benchmark(run_events)
     assert count == 3000
+
+
+def test_attach_per_source(benchmark):
+    """``CooperativePolicy.attach`` at m = 10^4 sources on a star.
+
+    Times the whole set-up of one run after its context exists: the
+    star topology (one link per source), the cache, and the source
+    plane with one row view per source.  Divide by 10^4 for the
+    per-source cost.
+    """
+    m = 10_000
+    workload = sparse_workload(m, 50.0, np.random.default_rng(3))
+    spec = RunSpec(warmup=10.0, measure=40.0)
+
+    def fresh():
+        policy = CooperativePolicy(
+            ConstantBandwidth(8.0), [ConstantBandwidth(1.0)] * m,
+            priority_fn=AreaPriority())
+        return (policy, make_context(workload, ValueDeviation(), spec)), {}
+
+    def attach(policy, ctx):
+        with gc_paused():
+            policy.attach(ctx)
+        return policy
+
+    policy = benchmark.pedantic(attach, setup=fresh, rounds=5,
+                                iterations=1)
+    assert len(policy.sources) == m

@@ -44,8 +44,7 @@ def run_monitoring_sweep(intervals=(2.0, 10.0, 30.0), seed=0):
                 predictive_sampling=predictive)
             result = run_policy(make_workload(seed), ValueDeviation(),
                                 policy, SPEC)
-            samples = sum(policy.sources[j].monitor.samples_taken
-                          for j in range(4))
+            samples = policy.plane.monitor.samples_taken
             label = (f"sampling every {interval:g}s"
                      + (" + predictive" if predictive else ""))
             rows.append([label, result.unweighted_divergence, samples])

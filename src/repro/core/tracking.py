@@ -16,14 +16,31 @@ import heapq
 
 
 class PriorityTracker:
-    """Tracks ``index -> priority`` with O(log n) max extraction."""
+    """Tracks ``index -> priority`` with O(log n) max extraction.
 
-    __slots__ = ("_heap", "_priority", "_version")
+    ``rows`` lazy heaps share one priority map and one version map keyed
+    by global object index.  A policy's source plane keeps one heap per
+    source (``row`` is the source id) in a single tracker, so attaching
+    ``m`` sources costs ``m`` empty lists rather than ``m`` trackers with
+    two dicts each; a standalone tracker has one row.  Each index lives
+    in exactly one row, so heap entries and their tie-breaks --
+    ``(-priority, version, index)`` -- are the same as with a private
+    tracker per row.  ``len`` and :meth:`items` cover all rows.
+    """
 
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int]] = []  # (-priority, ver, idx)
+    __slots__ = ("_heaps", "_priority", "_version")
+
+    def __init__(self, rows: int = 1) -> None:
+        # one heap per row of (-priority, version, index)
+        self._heaps: list[list[tuple[float, int, int]]] = [
+            [] for _ in range(rows)]
         self._priority: dict[int, float] = {}
         self._version: dict[int, int] = {}
+
+    @property
+    def rows(self) -> int:
+        """Number of heaps (sources) this tracker serves."""
+        return len(self._heaps)
 
     def __len__(self) -> int:
         return len(self._priority)
@@ -35,47 +52,46 @@ class PriorityTracker:
         """Current priority of ``index`` (0 when untracked)."""
         return self._priority.get(index, 0.0)
 
-    def update(self, index: int, priority: float) -> None:
-        """Set the priority of ``index``; zero/negative removes it."""
+    def update(self, index: int, priority: float, row: int = 0) -> None:
+        """Set the priority of ``index`` (queued on heap ``row``);
+        zero/negative removes it."""
         version = self._version.get(index, 0) + 1
         self._version[index] = version
         if priority <= 0.0:
             self._priority.pop(index, None)
             return
         self._priority[index] = priority
-        heapq.heappush(self._heap, (-priority, version, index))
+        heapq.heappush(self._heaps[row], (-priority, version, index))
 
     def remove(self, index: int) -> None:
         """Drop ``index`` from the queue (e.g. after refreshing it)."""
         self._version[index] = self._version.get(index, 0) + 1
         self._priority.pop(index, None)
 
-    def peek(self) -> tuple[int, float] | None:
-        """Highest-priority ``(index, priority)`` without removing it."""
-        self._discard_stale()
-        if not self._heap:
-            return None
-        neg_priority, _, index = self._heap[0]
-        return index, -neg_priority
+    def peek(self, row: int = 0) -> tuple[int, float] | None:
+        """Highest-priority ``(index, priority)`` of heap ``row`` without
+        removing it."""
+        # Stale entries (superseded versions, removed indices) are
+        # discarded here, lazily.
+        heap = self._heaps[row]
+        version = self._version
+        priority = self._priority
+        while heap:
+            neg_priority, entry_version, index = heap[0]
+            if version.get(index) == entry_version and index in priority:
+                return index, -neg_priority
+            heapq.heappop(heap)
+        return None
 
-    def pop(self) -> tuple[int, float] | None:
-        """Remove and return the highest-priority ``(index, priority)``."""
-        self._discard_stale()
-        if not self._heap:
-            return None
-        neg_priority, _, index = heapq.heappop(self._heap)
-        self.remove(index)
-        return index, -neg_priority
+    def pop(self, row: int = 0) -> tuple[int, float] | None:
+        """Remove and return the highest-priority ``(index, priority)``
+        of heap ``row``."""
+        top = self.peek(row)
+        if top is not None:
+            heapq.heappop(self._heaps[row])
+            self.remove(top[0])
+        return top
 
     def items(self) -> list[tuple[int, float]]:
         """All tracked ``(index, priority)`` pairs (unsorted)."""
         return list(self._priority.items())
-
-    def _discard_stale(self) -> None:
-        heap = self._heap
-        while heap:
-            neg_priority, version, index = heap[0]
-            if (self._version.get(index) == version
-                    and index in self._priority):
-                return
-            heapq.heappop(heap)

@@ -249,8 +249,8 @@ def _run_shard(task: ShardTask) -> ShardResult:
             duration=collector.duration,
             weighted_integral=collector._weighted_integral,
             unweighted_integral=collector._unweighted_integral,
-            thresholds=[s.threshold.value for s in policy.sources],
-            refreshes_sent=sum(s.refreshes_sent for s in policy.sources),
+            thresholds=list(policy.plane.value),
+            refreshes_sent=sum(policy.plane.refreshes_sent),
             refreshes_applied=policy.refreshes(),
             feedback_sent=policy.feedback_messages(),
             cache_messages=link.total_sent,

@@ -43,7 +43,12 @@ from repro.experiments.parallel import (
     WorkloadSpec,
     build_workload,
 )
-from repro.experiments.runner import RunSpec, build_result, make_context
+from repro.experiments.runner import (
+    RunSpec,
+    build_result,
+    check_conservation,
+    make_context,
+)
 from repro.metrics.collector import ReadCollector, ReplicaDivergenceTracker
 from repro.metrics.report import RunResult, format_table
 from repro.network.bandwidth import ConstantBandwidth
@@ -171,6 +176,7 @@ def run_policy_with_reads(workload: Workload, metric: DivergenceMetric,
                            track_replicas=track_replicas)
         ctx.run(spec.end_time, resample_interval=spec.resample_interval)
         read_run.finalize(spec.end_time)
+        check_conservation(policy, ctx)
     reads = read_run.collector
     extras = dict(policy.extras())
     extras["replica_reads"] = reads.replica_reads.tolist()

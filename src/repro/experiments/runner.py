@@ -85,6 +85,14 @@ def build_result(workload: Workload, metric: DivergenceMetric,
     )
 
 
+def check_conservation(policy: SyncPolicy, ctx: SimulationContext) -> None:
+    """Run the policy's message-conservation guard unless the context
+    armed fault machinery (a fault plan or reliable delivery), whose
+    drops and retransmits the guard does not model."""
+    if ctx.faults is None and ctx.retry is None:
+        policy.check_conservation()
+
+
 def run_policy(workload: Workload, metric: DivergenceMetric,
                policy: SyncPolicy, spec: RunSpec) -> RunResult:
     """Replay ``workload`` through ``policy`` and measure divergence.
@@ -98,4 +106,5 @@ def run_policy(workload: Workload, metric: DivergenceMetric,
         ctx = make_context(workload, metric, spec)
         policy.attach(ctx)
         ctx.run(spec.end_time, resample_interval=spec.resample_interval)
+        check_conservation(policy, ctx)
         return build_result(workload, metric, policy, ctx)

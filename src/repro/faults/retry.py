@@ -101,22 +101,22 @@ class ReliableDelivery:
         self.abandoned = 0
         self._pending: dict[tuple[int, int], _Pending] = {}
         self._next_seq: dict[int, int] = {}
-        self._senders: dict[int, object] = {}
+        self._monitor = None
 
     def bind(self, topology) -> None:
         self.topology = topology
 
-    def register_sender(self, source_id: int, source) -> None:
-        """Let retransmits run the sender's full send bookkeeping.
+    def register_monitor(self, monitor) -> None:
+        """Let retransmits run the senders' full send bookkeeping.
 
-        A policy that owns :class:`~repro.source.source.SourceNode`\\ s
-        registers them here so a fresh-value retransmit also drops the
-        object from the sender's priority queue (``on_refresh_sent``) --
-        otherwise the stale queue entry would trigger a near-immediate
-        duplicate refresh through the normal path, double-spending the
-        source's credit on one object.
+        A policy whose sources keep priority queues registers their
+        :class:`~repro.source.monitor.PriorityMonitor` here so a
+        fresh-value retransmit also drops the object from its source's
+        queue (``on_refresh_sent``) -- otherwise the stale queue entry
+        would trigger a near-immediate duplicate refresh through the
+        normal path, double-spending the source's credit on one object.
         """
-        self._senders[source_id] = source
+        self._monitor = monitor
 
     @property
     def pending(self) -> int:
@@ -242,11 +242,11 @@ class ReliableDelivery:
         entry.attempts += 1
         if self.topology.send_upstream(message):
             self.retransmitted += 1
-            sender = self._senders.get(message.source_id)
+            monitor = self._monitor
             for obj in marks:
                 obj.mark_sent(now)
-                if sender is not None:
-                    sender.monitor.on_refresh_sent(obj, now)
+                if monitor is not None:
+                    monitor.on_refresh_sent(obj, now)
         delay = self.policy.timeout * (
             self.policy.backoff ** (entry.attempts - 1))
         entry.timer = self.sim.at(now + delay,

@@ -72,13 +72,13 @@ class Link:
         # Constant profiles take accrue's closed-form fast path; the
         # expression below is ConstantBandwidth.capacity verbatim, so the
         # shortcut is bit-identical to the method call it skips.
-        self._const_rate = profile._rate \
-            if type(profile) is ConstantBandwidth else None
+        constant = type(profile) is ConstantBandwidth
+        self._const_rate = profile._rate if constant else None
         # Non-steady trace profiles get sync_to_tick's segment-walk
         # replay; steady ones (including flat traces) keep the cheaper
         # steady saturation jump, so this is only set when it matters.
         self._trace = profile \
-            if (isinstance(profile, TraceBandwidth)
+            if (not constant and isinstance(profile, TraceBandwidth)
                 and profile.steady_rate is None) else None
         # Lazy-refill state: a link marked lazy by its topology skips the
         # per-tick refill loop and is brought up to date on first touch.

@@ -134,21 +134,32 @@ class Topology(ABC):
 
     def _classify_links(self) -> None:
         eager: list[Link] = []
+        enabled = self._lazy_enabled
         for link in self.source_links:
             # Steady profiles replay lazily in closed form; non-steady
             # trace profiles replay by segment walk (Link._sync_trace).
-            # Anything else (sine) must stay eager.
-            link.lazy = self._lazy_enabled and (
-                link.profile.steady_rate is not None
-                or link._trace is not None)
-            if not link.lazy:
+            # Anything else (sine) must stay eager.  A constant rate or a
+            # trace already proves the profile replayable, so the
+            # validating ``Link.lazy`` setter is only needed otherwise.
+            if not enabled:
+                link._lazy = False
+            elif link._const_rate is not None or link._trace is not None:
+                link._lazy = True
+            else:
+                link.lazy = link.profile.steady_rate is not None
+            if not link._lazy:
                 eager.append(link)
         self._eager_source_links = eager
 
     def set_lazy_links(self, enabled: bool) -> None:
-        """Enable/disable lazy source-link refills (call before running)."""
-        self._lazy_enabled = enabled
-        self._classify_links()
+        """Enable/disable lazy source-link refills (call before running).
+
+        Links are classified when the topology is built, with lazy
+        refills on; only a change of mode reclassifies them.
+        """
+        if enabled != self._lazy_enabled:
+            self._lazy_enabled = enabled
+            self._classify_links()
 
     @property
     def active_link_count(self) -> int:
@@ -223,10 +234,15 @@ class Topology(ABC):
                            cache_id: int = 0) -> None:
         """Register the message handler of cache node ``cache_id``."""
 
-    @abstractmethod
     def set_source_receiver(self, source_id: int,
                             receiver: Receiver) -> None:
         """Register the message handler of source ``source_id``."""
+        self._source_receivers[source_id] = receiver
+
+    def set_source_receivers(self, receiver: Receiver) -> None:
+        """Register one handler for every source; it dispatches on the
+        message's ``source_id``."""
+        self._source_receivers = [receiver] * self.num_sources
 
     # ------------------------------------------------------------------
     # Fault injection and reliable delivery (see repro.faults)
@@ -629,10 +645,6 @@ class StarTopology(Topology):
                 f"star topology has a single cache, got id {cache_id}")
         self._cache_receiver = receiver
 
-    def set_source_receiver(self, source_id: int,
-                            receiver: Receiver) -> None:
-        self._source_receivers[source_id] = receiver
-
     def _cache_receiver_of(self, cache_id: int) -> Receiver | None:
         return self._cache_receiver
 
@@ -791,10 +803,6 @@ class MultiCacheTopology(Topology):
     def set_cache_receiver(self, receiver: Receiver,
                            cache_id: int = 0) -> None:
         self._cache_receivers[cache_id] = receiver
-
-    def set_source_receiver(self, source_id: int,
-                            receiver: Receiver) -> None:
-        self._source_receivers[source_id] = receiver
 
     def _cache_receiver_of(self, cache_id: int) -> Receiver | None:
         return self._cache_receivers[cache_id]

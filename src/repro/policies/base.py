@@ -228,3 +228,22 @@ class SyncPolicy(ABC):
     def extras(self) -> dict:
         """Policy-specific diagnostics merged into the run result."""
         return {}
+
+    def check_conservation(self) -> None:
+        """Raise ``RuntimeError`` when the run's message accounting does
+        not add up.
+
+        The base check covers every cache link of a policy with a
+        network topology: each message a link accepted was delivered or
+        is still queued.  Fault machinery (drops, retransmits, crashes)
+        legitimately breaks these identities, so runs call this only
+        when none is armed.
+        """
+        topology = getattr(self, "topology", None)
+        if topology is None:
+            return
+        for k, link in enumerate(topology.cache_links):
+            if link.total_sent != link.total_delivered + link.queued:
+                raise RuntimeError(
+                    f"cache link {k}: sent {link.total_sent} != delivered "
+                    f"{link.total_delivered} + queued {link.queued}")

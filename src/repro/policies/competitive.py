@@ -65,7 +65,8 @@ class CompetitivePolicy(CooperativePolicy):
         self.option = option
         self.source_priority_fn = source_priority_fn or self.priority_fn
         self.own_refreshes_sent = 0
-        self._own_trackers: list[PriorityTracker] = []
+        #: own-priority queues, one heap per source
+        self._own_tracker = PriorityTracker(0)
         self._own_credit: list[float] = []
         self._own_rate: list[float] = []
         self.source_collector: DivergenceCollector | None = None
@@ -86,7 +87,7 @@ class CompetitivePolicy(CooperativePolicy):
                 f"source weight model covers {self.source_weights.n} "
                 f"objects, expected {workload.num_objects}")
         m = workload.num_sources
-        self._own_trackers = [PriorityTracker() for _ in range(m)]
+        self._own_tracker = PriorityTracker(m)
         self._own_credit = [0.0] * m
         self._own_rate = self._allocate_rates(workload)
         self.source_collector = DivergenceCollector(
@@ -95,8 +96,7 @@ class CompetitivePolicy(CooperativePolicy):
         assert self.caches
         for cache in self.caches:
             cache.add_refresh_hook(self._on_refresh_applied)
-        for source in self.sources:
-            source.send_hooks.append(self._on_refresh_sent)
+        self.plane.send_hooks.append(self._on_refresh_sent)
         self._own_wakeups = WakeupSet()
         self._own_tick_no = 0
         self._own_credit_tick = [0] * m
@@ -121,7 +121,7 @@ class CompetitivePolicy(CooperativePolicy):
     def _on_update_competitive(self, obj: DataObject, now: float) -> None:
         weight = self.source_weights.weight(obj.index, now)
         priority = self.source_priority_fn.priority(obj, weight, now)
-        self._own_trackers[obj.source_id].update(obj.index, priority)
+        self._own_tracker.update(obj.index, priority, obj.source_id)
         if self._event_driven:
             # Fresh own-priority work: wake at the next own-sends fire
             # (the same tick when the update lands before SOURCES phase).
@@ -134,14 +134,14 @@ class CompetitivePolicy(CooperativePolicy):
         if self.source_collector is not None:
             self.source_collector.record(obj.index, now,
                                          obj.truth.divergence)
-        self._own_trackers[obj.source_id].remove(obj.index)
+        self._own_tracker.remove(obj.index)
 
     def _on_refresh_sent(self, obj: DataObject, now: float,
                          threshold_driven: bool) -> None:
         # Any send synchronizes the object; drop it from the own-priority
         # queue immediately rather than waiting for cache-side application
         # (which lags under congestion and would allow duplicate sends).
-        self._own_trackers[obj.source_id].remove(obj.index)
+        self._own_tracker.remove(obj.index)
         if (threshold_driven and self.option == "contribution"
                 and self.psi > 0):
             # Sec 7 option 3: each *cache-priority* refresh earns the
@@ -177,7 +177,7 @@ class CompetitivePolicy(CooperativePolicy):
             blocked = self._own_send_while_credit(j, now)
             if blocked:
                 self._own_arm_blocked(j, now)
-            elif len(self._own_trackers[j]):
+            elif self._own_tracker.peek(j) is not None:
                 self._own_arm_crossing(j)
 
     def _own_accrue_one_tick(self, j: int) -> None:
@@ -199,21 +199,21 @@ class CompetitivePolicy(CooperativePolicy):
         """Drain own-priority sends; True when source-bandwidth-blocked."""
         ctx = self._ctx
         source = self.sources[j]
-        tracker = self._own_trackers[j]
+        tracker = self._own_tracker
         while self._own_credit[j] >= 1.0:
-            top = tracker.peek()
+            top = tracker.peek(j)
             if top is None:
                 break
             index, _ = top
             obj = ctx.objects[index]
             if obj.belief.divergence == 0.0:
                 # Already synchronized by the cache-priority flow.
-                tracker.pop()
+                tracker.pop(j)
                 continue
             if not source._send_refresh(obj, now,
                                         adjust_threshold=False):
                 return True  # out of source-side bandwidth
-            tracker.pop()
+            tracker.pop(j)
             self._own_credit[j] -= 1.0
             self.own_refreshes_sent += 1
         return False

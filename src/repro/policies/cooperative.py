@@ -3,9 +3,12 @@
 This policy assembles the full Sec 5 machinery over the message-level
 network substrate:
 
-* one :class:`SourceNode` per source with a lazy priority queue, a
-  :class:`ThresholdController` (``alpha``/``omega``/``gamma`` dynamics) and
-  a priority monitor (exact triggers by default, sampling optional);
+* one :class:`SourcePlane` holding every source's protocol state in flat
+  columns -- the thresholds (``alpha``/``omega``/``gamma`` dynamics), a
+  lazy priority heap per source, the send/feedback counters -- with one
+  priority monitor for all sources (exact triggers by default, sampling
+  optional) and one :class:`SourceNode` row view per source, which is
+  what the update, wake and feedback paths call;
 * one :class:`CacheNode` per cache node in the configured topology, each
   applying whatever refreshes arrive on its link and running its own
   :class:`FeedbackController`, spending surplus link bandwidth on positive
@@ -30,7 +33,11 @@ from repro.cache.store import CacheStore
 from repro.core.divergence import DivergenceMetric
 from repro.core.objects import DataObject
 from repro.core.priority import PriorityFunction
-from repro.core.threshold import DEFAULT_ALPHA, DEFAULT_OMEGA, ThresholdController
+from repro.core.threshold import (
+    DEFAULT_ALPHA,
+    DEFAULT_OMEGA,
+    check_threshold_params,
+)
 from repro.core.tracking import PriorityTracker
 from repro.network.bandwidth import BandwidthProfile
 from repro.network.topology import Topology
@@ -38,6 +45,7 @@ from repro.policies.base import SimulationContext, SyncPolicy
 from repro.sim.events import Phase, WakeupSet
 from repro.source.batching import BatchingSource
 from repro.source.monitor import SamplingMonitor, TriggerMonitor
+from repro.source.plane import SourcePlane, check_batching
 from repro.source.source import SourceNode
 
 
@@ -94,6 +102,10 @@ class CooperativePolicy(SyncPolicy):
         every node every ``dt`` (the degenerate "everyone wakes every dt"
         schedule).  Both produce bit-for-bit identical results; the
         equivalence tests pin that.
+
+    Out-of-range options raise ``ValueError`` here, before any topology
+    is built.  :meth:`attach` builds one :class:`SourcePlane` for all
+    sources and exposes a row view per source as ``sources[j]``.
     """
 
     name = "cooperative"
@@ -116,6 +128,14 @@ class CooperativePolicy(SyncPolicy):
                  rebalance=None) -> None:
         if scheduling not in ("event", "tick"):
             raise ValueError(f"unknown scheduling mode {scheduling!r}")
+        if monitor not in ("trigger", "sampling"):
+            raise ValueError(f"unknown monitor kind {monitor!r}")
+        if sampling_interval <= 0:
+            raise ValueError(
+                f"sampling interval must be > 0, got {sampling_interval}")
+        check_batching(batch_size, batch_timeout)
+        check_threshold_params(initial_threshold, alpha, omega,
+                               feedback_period, feedback_ttl)
         self.scheduling = scheduling
         self.cache_bandwidth = cache_bandwidth
         self.source_bandwidths = source_bandwidths
@@ -137,8 +157,10 @@ class CooperativePolicy(SyncPolicy):
         self.caches: list[CacheNode] = []
         self.stores: list[CacheStore] = []
         self.feedbacks: list[FeedbackController] = []
+        self.plane: SourcePlane | None = None
         self.sources: list[SourceNode] = []
         self._event_driven = False
+        self._wake_monitor = False
         self._source_wakeups = WakeupSet()
         self._cache_wakeups = WakeupSet()
 
@@ -166,25 +188,38 @@ class CooperativePolicy(SyncPolicy):
             raise ValueError(
                 f"expected {workload.num_sources} source bandwidth "
                 f"profiles, got {len(self.source_bandwidths)}")
+        self._ctx = ctx
         self.topology = ctx.build_topology(self.cache_bandwidth,
                                            self.source_bandwidths)
         topology = self.topology
         self.caches = []
         self.stores = []
         self.feedbacks = []
-        plane = topology.delivery_plane
+        delivery = topology.delivery_plane
+        m = workload.num_sources
+        # Each source's home: its primary cache at attach, which fixes
+        # the feedback period its gamma factor uses.
+        home = [0] * m
+        periods = []
         for k in range(topology.num_caches):
             owned = topology.owned_sources_of(k)
             # Per-source refresh value under this delivery plane: r-way
             # replicated sources are r times cheaper per unit of
             # divergence removed under multicast.  All-ones collapses to
-            # None so the unicast ranking arithmetic is untouched.
-            gains = [plane.feedback_gain(len(topology.caches_of(j)))
-                     for j in owned]
+            # None so the unicast ranking arithmetic is untouched; with
+            # one cache every source has one replica, so it is None.
+            gains = None
+            if topology.num_caches > 1:
+                gains = [delivery.feedback_gain(len(topology.caches_of(j)))
+                         for j in owned]
+                if all(g == 1.0 for g in gains):
+                    gains = None
+                for j in owned:
+                    home[j] = k
+            periods.append(self._feedback_period_for(k, ctx))
             feedback = FeedbackController(
                 topology, self.omega, cache_id=k,
-                source_ids=owned,
-                gains=None if all(g == 1.0 for g in gains) else gains)
+                source_ids=owned, gains=gains)
             store = CacheStore(workload.num_objects,
                                workload.trace.initial_values)
             cache = CacheNode(ctx.objects, ctx.metric, topology,
@@ -195,52 +230,40 @@ class CooperativePolicy(SyncPolicy):
             self.stores.append(store)
             self.caches.append(cache)
 
-        per_source = workload.objects_per_source
-        self.sources = []
-        # The derived feedback period depends only on a source's primary
-        # cache, so compute it once per cache instead of once per source
-        # (at m ~ 10^5 the per-source log/len arithmetic is real money).
-        period_by_cache: dict[int, float | None] = {}
-        for j in range(workload.num_sources):
-            objects = ctx.objects[j * per_source:(j + 1) * per_source]
-            primary = topology.primary_cache_of(j)
-            if primary not in period_by_cache:
-                period_by_cache[primary] = self._feedback_period_for(j, ctx)
-            tracker = PriorityTracker()
-            threshold = ThresholdController(
-                initial=self.initial_threshold, alpha=self.alpha,
-                omega=self.omega,
-                feedback_period=period_by_cache[primary],
-                feedback_ttl=self.feedback_ttl)
-            monitor = self._build_monitor(tracker, workload.weights,
-                                          ctx.metric, threshold)
-            if self.batch_size > 1:
-                source: SourceNode = BatchingSource(
-                    j, objects, monitor, threshold, topology,
-                    batch_size=self.batch_size,
-                    batch_timeout=self.batch_timeout)
-            else:
-                source = SourceNode(j, objects, monitor, threshold,
-                                    topology)
-            self.sources.append(source)
-            topology.set_source_receiver(
-                j, self._make_receiver(source, ctx))
-            if topology.reliable is not None:
-                topology.reliable.register_sender(j, source)
+        plane = SourcePlane(
+            m, topology, PriorityTracker(m), ctx.objects,
+            workload.objects_per_source, initial=self.initial_threshold,
+            alpha=self.alpha, omega=self.omega, periods=periods, home=home,
+            feedback_ttl=self.feedback_ttl)
+        monitor = self._build_monitor(plane, workload.weights, ctx.metric)
+        plane.monitor = monitor
+        if self.batch_size > 1:
+            plane.enable_batching(self.batch_size, self.batch_timeout)
+            view = BatchingSource.view
+        else:
+            view = SourceNode.view
+        self.plane = plane
+        self.sources = [view(plane, j) for j in range(m)]
+        topology.set_source_receivers(self._on_downstream)
+        if topology.reliable is not None:
+            topology.reliable.register_monitor(monitor)
 
         # Time-varying priorities change every object's priority every
         # tick, so there is nothing to schedule around: fall back to the
         # degenerate everyone-wakes-every-dt schedule for them.
         event_requested = self.scheduling == "event"
-        self._event_driven = event_requested and not any(
-            source.monitor.wants_tick for source in self.sources)
+        self._event_driven = event_requested and not monitor.wants_tick
+        self._wake_monitor = monitor.schedules_wakes
         topology.set_lazy_links(event_requested)
         self._source_wakeups = WakeupSet()
         self._cache_wakeups = WakeupSet()
         if self._event_driven:
-            for j, source in enumerate(self.sources):
-                source.monitor.prime(source.objects)
-                self._rearm_source(j, source, 0.0, blocked=False)
+            # Trigger monitors without a feedback TTL arm nothing, so
+            # only sampling deadlines or TTL decays need a priming pass.
+            if self._wake_monitor or self.feedback_ttl is not None:
+                monitor.prime(ctx.objects)
+                for j in range(m):
+                    self._rearm_source(j, 0.0, blocked=False)
             for k in range(topology.num_caches):
                 self._cache_wakeups.arm(k, 0.0)
                 self.caches[k].activity_hook = self._make_cache_activity(k)
@@ -262,18 +285,17 @@ class CooperativePolicy(SyncPolicy):
             self.rebalancer = Rebalancer(self.rebalance, topology,
                                          self.caches)
             self.rebalancer.install(ctx)
-        self._ctx = ctx
 
-    def _feedback_period_for(self, source_id: int,
+    def _feedback_period_for(self, primary: int,
                              ctx: SimulationContext) -> float | None:
-        """Expected feedback period for one source's ``gamma`` factor.
+        """Expected feedback period of the sources homed at ``primary``.
 
         The paper's rough estimate is m / mean cache bandwidth, taken here
-        per cache node: the sources sharing the primary cache of
-        ``source_id`` over that link's mean rate.  At the alpha/omega
-        equilibrium one feedback balances ln(omega)/ln(alpha) refreshes
-        (~24 at the default settings), so the *expected* period between
-        feedback messages to one source is that many times longer.
+        per cache node: the sources sharing the primary cache over that
+        link's mean rate.  At the alpha/omega equilibrium one feedback
+        balances ln(omega)/ln(alpha) refreshes (~24 at the default
+        settings), so the *expected* period between feedback messages to
+        one source is that many times longer.
         Scaling the estimate (and flooring it at a few ticks) keeps gamma
         measuring genuine feedback droughts across bandwidth regimes --
         the paper notes the estimate "need only be a rough estimate".
@@ -281,7 +303,6 @@ class CooperativePolicy(SyncPolicy):
         if self.feedback_period is not None:
             return self.feedback_period
         assert self.topology is not None
-        primary = self.topology.primary_cache_of(source_id)
         mean_rate = self.topology.cache_links[primary].profile.mean_rate
         if mean_rate <= 0:
             return None
@@ -289,25 +310,22 @@ class CooperativePolicy(SyncPolicy):
         peers = len(self.topology.owned_sources_of(primary))
         return max(slack * peers / mean_rate, 5.0 * ctx.dt)
 
-    def _build_monitor(self, tracker: PriorityTracker, weights, metric:
-                       DivergenceMetric, threshold: ThresholdController):
+    def _build_monitor(self, plane: SourcePlane, weights,
+                       metric: DivergenceMetric):
         if self.monitor_kind == "trigger":
-            return TriggerMonitor(tracker, self.priority_fn, weights)
-        if self.monitor_kind == "sampling":
-            return SamplingMonitor(
-                tracker, self.priority_fn, weights, metric,
-                interval=self.sampling_interval,
-                predictive=self.predictive_sampling,
-                threshold=lambda: threshold.value)
-        raise ValueError(f"unknown monitor kind {self.monitor_kind!r}")
+            return TriggerMonitor(plane.tracker, self.priority_fn, weights)
+        return SamplingMonitor(
+            plane.tracker, self.priority_fn, weights, metric,
+            interval=self.sampling_interval,
+            predictive=self.predictive_sampling, threshold=plane.value)
 
-    def _make_receiver(self, source: SourceNode, ctx: SimulationContext):
-        def receive(message):
-            now = ctx.sim.now
-            blocked = source.on_message(message, now)
-            if self._event_driven:
-                self._rearm_source(source.source_id, source, now, blocked)
-        return receive
+    def _on_downstream(self, message) -> None:
+        """The one downstream receiver: route to the message's source."""
+        j = message.source_id
+        now = self._ctx.sim.now
+        blocked = self.sources[j].on_message(message, now)
+        if self._event_driven:
+            self._rearm_source(j, now, blocked)
 
     def _make_cache_activity(self, cache_id: int):
         def hook(now: float) -> None:
@@ -331,26 +349,25 @@ class CooperativePolicy(SyncPolicy):
     # two schedules bit-for-bit identical.
     # ------------------------------------------------------------------
     def _on_update(self, obj: DataObject, now: float) -> None:
-        source = self.sources[obj.source_id]
-        blocked = source.on_update(obj, now)
+        j = obj.source_id
+        blocked = self.sources[j].on_update(obj, now)
         if self._event_driven:
-            self._rearm_source(obj.source_id, source, now, blocked)
+            self._rearm_source(j, now, blocked)
 
-    def _rearm_source(self, j: int, source: SourceNode, now: float,
-                      blocked: bool) -> None:
+    def _rearm_source(self, j: int, now: float, blocked: bool) -> None:
         if blocked:
             # Out of bandwidth with over-threshold work: credit accrues by
             # the next tick, so wake at the next dispatcher fire.
             self._source_wakeups.arm(j, now)
-        next_wake = source.monitor.next_wake_time()
-        if next_wake is not None:
-            self._source_wakeups.arm(j, next_wake)
-        decay = source.threshold.next_decay_time()
-        if decay is not None:
+        if self._wake_monitor:
+            next_wake = self.plane.monitor.next_wake_time(j)
+            if next_wake is not None:
+                self._source_wakeups.arm(j, next_wake)
+        if self.feedback_ttl is not None:
             # TTL decay must fire even while the source is otherwise
             # parked, or a blacked-out event-mode source would never
             # drift -- breaking tick/event equivalence.
-            self._source_wakeups.arm(j, decay)
+            self._source_wakeups.arm(j, self.plane.decay_deadline[j])
 
     def _sources_tick(self, now: float) -> None:
         if not self._event_driven:
@@ -358,9 +375,8 @@ class CooperativePolicy(SyncPolicy):
                 source.on_tick(now)
             return
         for j in self._source_wakeups.pop_due(now, eps=1e-12):
-            source = self.sources[j]
-            blocked = source.on_wake(now)
-            self._rearm_source(j, source, now, blocked)
+            blocked = self.sources[j].on_wake(now)
+            self._rearm_source(j, now, blocked)
 
     def _caches_tick(self, now: float) -> None:
         if not self._event_driven:
@@ -382,9 +398,10 @@ class CooperativePolicy(SyncPolicy):
         return cache.feedback is not None and cache.feedback.has_targets()
 
     def _reprioritize_all(self, now: float) -> None:
-        for j, source in enumerate(self.sources):
-            source.monitor.refresh_priorities(source.objects, now)
-            if self._event_driven and len(source.monitor.tracker):
+        plane = self.plane
+        for j in range(len(self.sources)):
+            plane.monitor.refresh_priorities(plane.objects_of(j), now)
+            if self._event_driven and plane.tracker.peek(j) is not None:
                 # Re-evaluated priorities may now clear the threshold; the
                 # tick-scan schedule would notice at the next tick's drain.
                 self._source_wakeups.arm(j, now)
@@ -403,18 +420,40 @@ class CooperativePolicy(SyncPolicy):
             return 0
         return self.topology.cache_messages_total()
 
+    def _legs_sent(self) -> int:
+        """Refresh legs sent: a send reaches every cache of its source,
+        so it counts one leg per replica."""
+        if self.plane is None:
+            return 0
+        caches_of = self.topology.caches_of
+        return sum(sent * len(caches_of(j))
+                   for j, sent in enumerate(self.plane.refreshes_sent))
+
+    def check_conservation(self) -> None:
+        """Links conserve messages, and they accepted one leg per replica
+        of every source send (feedback is the only downstream traffic)."""
+        super().check_conservation()
+        if self.plane is None:
+            return
+        accepted = sum(link.total_sent for link in self.topology.cache_links)
+        accepted -= self.feedback_messages()
+        fanned = self._legs_sent()
+        if accepted != fanned:
+            raise RuntimeError(
+                f"cache links accepted {accepted} refresh legs, but the "
+                f"sources sent {fanned} (sends times replicas)")
+
     def extras(self) -> dict:
-        thresholds = [s.threshold.value for s in self.sources]
-        sent = sum(s.refreshes_sent for s in self.sources)
-        # A send reaches every cache of its source: count one leg per
-        # replica so in-flight compares with per-replica applications.
-        legs = sum(s.refreshes_sent * len(self.topology.caches_of(j))
-                   for j, s in enumerate(self.sources))
+        plane = self.plane
+        thresholds = plane.value if plane is not None else []
         extras = {
             "mean_threshold": (sum(thresholds) / len(thresholds)
                                if thresholds else 0.0),
-            "refreshes_sent": sent,
-            "refreshes_in_flight": legs - self.refreshes(),
+            "refreshes_sent": (sum(plane.refreshes_sent)
+                               if plane is not None else 0),
+            # legs, not sends, so in-flight compares with per-replica
+            # applications
+            "refreshes_in_flight": self._legs_sent() - self.refreshes(),
             "cache_queue_peak": (self.topology.cache_queued_peak()
                                  if self.topology else 0),
         }

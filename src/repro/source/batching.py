@@ -17,11 +17,15 @@ items have accumulated or the oldest staged item has waited
 Threshold bookkeeping: the protocol's multiplicative increase regulates
 *bandwidth* consumption, and a batch costs one message, so the threshold
 rises once per batch, not once per item.
+
+Like :class:`~repro.source.source.SourceNode`, a batching source is a row
+view: its holding pen lives in the plane's batch columns, which
+:meth:`~repro.source.plane.SourcePlane.enable_batching` allocates only
+for batching policies.
 """
 
 from __future__ import annotations
 
-from repro.core.objects import DataObject
 from repro.network.messages import BatchRefreshMessage
 from repro.source.source import SourceNode
 
@@ -29,23 +33,20 @@ from repro.source.source import SourceNode
 class BatchingSource(SourceNode):
     """A source that packages several refreshes into each message."""
 
-    __slots__ = ("batch_size", "batch_timeout", "batches_sent",
-                 "items_sent", "_staged", "_staged_since")
+    __slots__ = ()
 
     def __init__(self, *args, batch_size: int = 4,
                  batch_timeout: float = 5.0, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if batch_timeout <= 0:
-            raise ValueError(
-                f"batch_timeout must be > 0, got {batch_timeout}")
-        self.batch_size = batch_size
-        self.batch_timeout = batch_timeout
-        self.batches_sent = 0
-        self.items_sent = 0
-        self._staged: list[DataObject] = []
-        self._staged_since: float | None = None
+        self.plane.enable_batching(batch_size, batch_timeout)
+
+    @property
+    def batches_sent(self) -> int:
+        return self.plane.batches_sent[self.source_id]
+
+    @property
+    def items_sent(self) -> int:
+        return self.plane.items_sent[self.source_id]
 
     # ------------------------------------------------------------------
     # Refresh scheduling (overrides the one-message-per-object flow)
@@ -58,63 +59,74 @@ class BatchingSource(SourceNode):
         one may be waiting on bandwidth, both of which resolve on a later
         tick.
         """
-        self.threshold.maybe_decay(now)
-        tracker = self.monitor.tracker
-        staged_indices = {obj.index for obj in self._staged}
+        plane = self.plane
+        j = self.source_id
+        plane.maybe_decay(j, now)
+        tracker = plane.tracker
+        staged = plane.staged[j]
+        staged_indices = {obj.index for obj in staged}
         while True:
-            top = tracker.peek()
+            top = tracker.peek(j)
             if top is None:
                 break
             index, priority = top
-            if priority < self.threshold.value:
+            if priority < plane.value[j]:
                 break
-            tracker.pop()
+            tracker.pop(j)
             if index in staged_indices:
                 continue
-            self._staged.append(self._by_index[index])
+            staged.append(plane.by_index[index])
             staged_indices.add(index)
-            if self._staged_since is None:
-                self._staged_since = now
+            if plane.staged_since[j] is None:
+                plane.staged_since[j] = now
         self._maybe_flush(now)
-        return bool(self._staged)
+        return bool(plane.staged[j])
 
     def on_tick(self, now: float) -> None:
         super().on_tick(now)
         self._maybe_flush(now)
 
     def _maybe_flush(self, now: float) -> None:
-        if not self._staged:
+        plane = self.plane
+        j = self.source_id
+        staged = plane.staged[j]
+        if not staged:
             return
-        full = len(self._staged) >= self.batch_size
-        expired = (self._staged_since is not None
-                   and now - self._staged_since >= self.batch_timeout)
+        since = plane.staged_since[j]
+        full = len(staged) >= plane.batch_size
+        expired = since is not None and now - since >= plane.batch_timeout
         if full or expired:
             self._flush(now)
 
     def _flush(self, now: float) -> bool:
         """Send one batch message (one bandwidth unit)."""
-        batch = self._staged[: self.batch_size]
+        plane = self.plane
+        j = self.source_id
+        size = plane.batch_size
+        batch = plane.staged[j][:size]
         message = BatchRefreshMessage(
-            source_id=self.source_id,
+            source_id=j,
             sent_at=now,
             items=[(obj.index, obj.value, obj.update_count)
                    for obj in batch],
-            threshold=self.threshold.value,
+            threshold=plane.value[j],
         )
-        if not self.topology.send_upstream(message):
+        if not plane.topology.send_upstream(message):
             return False  # out of bandwidth; retry on a later tick
+        monitor = plane.monitor
         for obj in batch:
             obj.mark_sent(now)
-            self.monitor.on_refresh_sent(obj, now)
-            self.items_sent += 1
-        self._staged = self._staged[self.batch_size:]
-        self._staged_since = now if self._staged else None
-        self.threshold.on_refresh(now)
-        self.batches_sent += 1
-        self.refreshes_sent += 1  # one message on the wire
+            monitor.on_refresh_sent(obj, now)
+            plane.items_sent[j] += 1
+        rest = plane.staged[j][size:]
+        plane.staged[j] = rest
+        plane.staged_since[j] = now if rest else None
+        plane.on_refresh(j, now)
+        plane.batches_sent[j] += 1
+        plane.refreshes_sent[j] += 1  # one message on the wire
         return True
 
     @property
     def staged(self) -> int:
         """Number of refreshes currently waiting for the batch to fill."""
-        return len(self._staged)
+        return len(self.plane.staged[self.source_id])

@@ -17,6 +17,12 @@ Two implementations of the same interface:
                                + 2 (T - P(O, t_now)) / (rho_i W(O, t_now)))
 
   with ``rho_i`` the estimated divergence rate.
+
+One monitor serves every source of a policy: it keeps the priorities of
+all objects in one :class:`PriorityTracker` whose heap rows are source
+ids (an object is queued on the row of its ``source_id``), and the
+sampling monitor's per-object estimator state is keyed by global object
+index.  A standalone monitor over a one-row tracker serves source 0.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from repro.sim.events import WakeupSet
 
 
 class PriorityMonitor(ABC):
-    """Keeps a source's :class:`PriorityTracker` up to date."""
+    """Keeps the sources' :class:`PriorityTracker` up to date."""
 
     __slots__ = ("tracker", "priority_fn", "weights")
 
@@ -62,11 +68,16 @@ class PriorityMonitor(ABC):
     def wants_tick(self) -> bool:
         return False
 
+    #: True when :meth:`next_wake_time` can return a time; the policy
+    #: skips the per-interaction query for monitors that never do.
+    schedules_wakes: bool = False
+
     def prime(self, obj_list: list[DataObject]) -> None:
         """Install initial wakeup state for event-driven scheduling."""
 
-    def next_wake_time(self) -> float | None:
-        """Earliest time this monitor needs its source woken (or ``None``).
+    def next_wake_time(self, source_id: int = 0) -> float | None:
+        """Earliest time this monitor needs source ``source_id`` woken
+        (or ``None``).
 
         The owning policy arms the source's wakeup with this after every
         interaction, so a monitor never needs to call back into the
@@ -95,7 +106,7 @@ class PriorityMonitor(ABC):
     def _recompute(self, obj: DataObject, now: float) -> None:
         weight = self.weights.weight(obj.index, now)
         priority = self.priority_fn.priority(obj, weight, now)
-        self.tracker.update(obj.index, priority)
+        self.tracker.update(obj.index, priority, obj.source_id)
 
 
 class TriggerMonitor(PriorityMonitor):
@@ -103,8 +114,9 @@ class TriggerMonitor(PriorityMonitor):
 
     __slots__ = ()
 
-    def on_update(self, obj: DataObject, now: float) -> None:
-        self._recompute(obj, now)
+    # An update recomputes the object's exact priority; bound directly
+    # (not wrapped) because it runs once per update of every source.
+    on_update = PriorityMonitor._recompute
 
     def on_tick(self, obj_list: list[DataObject], now: float) -> None:
         # Only time-varying priority functions (the Sec 9 bound priority)
@@ -146,12 +158,14 @@ class SamplingMonitor(PriorityMonitor):
         object is scheduled at the projected threshold-crossing time
         (clamped to ``[min_interval, interval]``).
     threshold:
-        Zero-argument callable returning the source's current refresh
-        threshold (used only for predictive scheduling).
+        The current refresh threshold, used only for predictive
+        scheduling: the plane's threshold column (a list indexed by
+        source id) or, for a monitor serving one source, a zero-argument
+        callable.
     """
 
     __slots__ = ("metric", "interval", "min_interval", "predictive",
-                 "threshold", "samples_taken", "_last_sample_time",
+                 "samples_taken", "_threshold_of", "_last_sample_time",
                  "_last_sample_div", "_est_integral", "_next_sample",
                  "_deadlines")
 
@@ -167,17 +181,23 @@ class SamplingMonitor(PriorityMonitor):
         self.interval = interval
         self.min_interval = min_interval
         self.predictive = predictive
-        self.threshold = threshold
+        # Normalized to "source id -> current threshold".
+        if isinstance(threshold, list):
+            self._threshold_of = threshold.__getitem__
+        elif threshold is not None:
+            self._threshold_of = lambda _source_id: threshold()
+        else:
+            self._threshold_of = None
         self.samples_taken = 0
         # Per-object estimator state, keyed by object index.
         self._last_sample_time: dict[int, float] = {}
         self._last_sample_div: dict[int, float] = {}
         self._est_integral: dict[int, float] = {}
         self._next_sample: dict[int, float] = {}
-        # Event-driven view of _next_sample: the same deadlines on a heap,
-        # so a wakeup-scheduled source touches only the objects that are
-        # due instead of scanning all of them each tick.
-        self._deadlines = WakeupSet()
+        # Event-driven view of _next_sample: the same deadlines on one
+        # heap per source, so a wakeup-scheduled source touches only the
+        # objects that are due instead of scanning all of them each tick.
+        self._deadlines = [WakeupSet() for _ in range(tracker.rows)]
 
     # ------------------------------------------------------------------
     # Monitor interface
@@ -192,7 +212,7 @@ class SamplingMonitor(PriorityMonitor):
         self._last_sample_time[index] = now
         self._last_sample_div[index] = 0.0
         self._est_integral[index] = 0.0
-        self._set_next_sample(index, now + self.interval)
+        self._set_next_sample(obj, now + self.interval)
 
     def on_tick(self, obj_list: list[DataObject], now: float) -> None:
         for obj in obj_list:
@@ -202,15 +222,18 @@ class SamplingMonitor(PriorityMonitor):
     # ------------------------------------------------------------------
     # Event-driven scheduling hooks
     # ------------------------------------------------------------------
+    schedules_wakes = True
+
     def prime(self, obj_list: list[DataObject]) -> None:
         """Arm every object's deadline (unseen objects are due at once,
         mirroring ``_next_sample``'s default of 0)."""
+        deadlines = self._deadlines
         for obj in obj_list:
-            self._deadlines.reschedule(
+            deadlines[obj.source_id].reschedule(
                 obj.index, self._next_sample.get(obj.index, 0.0))
 
-    def next_wake_time(self) -> float | None:
-        return self._deadlines.peek_time()
+    def next_wake_time(self, source_id: int = 0) -> float | None:
+        return self._deadlines[source_id].peek_time()
 
     def on_wake(self, source, now: float) -> None:
         """Sample exactly the objects whose deadline has arrived.
@@ -220,13 +243,14 @@ class SamplingMonitor(PriorityMonitor):
         scan's deadline comparison -- so a wakeup-scheduled source takes
         bit-identical samples at bit-identical times.
         """
-        by_index = source._by_index
-        for index in self._deadlines.pop_due(now, eps=1e-12):
+        by_index = source.plane.by_index
+        due = self._deadlines[source.source_id].pop_due(now, eps=1e-12)
+        for index in due:
             self.sample(by_index[index], now)
 
-    def _set_next_sample(self, index: int, time: float) -> None:
-        self._next_sample[index] = time
-        self._deadlines.reschedule(index, time)
+    def _set_next_sample(self, obj: DataObject, time: float) -> None:
+        self._next_sample[obj.index] = time
+        self._deadlines[obj.source_id].reschedule(obj.index, time)
 
     # ------------------------------------------------------------------
     # Sampling machinery
@@ -253,16 +277,16 @@ class SamplingMonitor(PriorityMonitor):
         weight = self.weights.weight(index, now)
         elapsed = now - view.last_refresh_time
         priority = (elapsed * divergence - integral) * weight
-        self.tracker.update(index, priority)
-        self._set_next_sample(index, now + self._next_delay(
+        self.tracker.update(index, priority, obj.source_id)
+        self._set_next_sample(obj, now + self._next_delay(
             obj, priority, divergence, last_t, last_d, now, weight))
 
     def _next_delay(self, obj: DataObject, priority: float,
                     divergence: float, last_t: float, last_d: float,
                     now: float, weight: float) -> float:
-        if not self.predictive or self.threshold is None:
+        if not self.predictive or self._threshold_of is None:
             return self.interval
-        threshold = self.threshold()
+        threshold = self._threshold_of(obj.source_id)
         if priority >= threshold:
             return self.min_interval
         elapsed_since_last = now - last_t

@@ -21,15 +21,22 @@ import numpy as np
 import pytest
 
 from repro.core.divergence import ValueDeviation
-from repro.core.priority import AreaPriority
+from repro.core.objects import DataObject
+from repro.core.priority import AreaPriority, SimpleDivergencePriority
+from repro.core.threshold import ThresholdController
+from repro.core.tracking import PriorityTracker
 from repro.core.weights import StaticWeights
 from repro.experiments.runner import RunSpec, run_policy
 from repro.faults.plan import FaultPlan, LossRule
 from repro.faults.retry import RetryPolicy
 from repro.network.bandwidth import ConstantBandwidth
-from repro.network.topology import TopologyConfig
+from repro.network.messages import FeedbackMessage
+from repro.network.topology import StarTopology, TopologyConfig
 from repro.policies.competitive import CompetitivePolicy
 from repro.policies.cooperative import CooperativePolicy
+from repro.source.monitor import TriggerMonitor
+from repro.source.plane import SourcePlane
+from repro.source.source import SourceNode
 from repro.workloads.synthetic import uniform_random_walk
 
 SOURCES, PER_SOURCE, WARMUP, MEASURE = 12, 3, 40.0, 110.0
@@ -222,6 +229,148 @@ PINS = {
 def test_outcome_pinned(name):
     *scalars, thresholds = PINS[name]
     assert outcome(name) == (*scalars, repr(thresholds))
+
+
+# ----------------------------------------------------------------------
+# Row views read and write their own row only
+# ----------------------------------------------------------------------
+ROWS, PER = 3, 2
+
+
+def _plane():
+    topology = StarTopology(ConstantBandwidth(100.0),
+                            [ConstantBandwidth(10.0)] * ROWS)
+    objects = [DataObject(index=i, source_id=i // PER, rate=0.5)
+               for i in range(ROWS * PER)]
+    plane = SourcePlane(ROWS, topology, PriorityTracker(ROWS), objects, PER)
+    plane.monitor = TriggerMonitor(plane.tracker, SimpleDivergencePriority(),
+                                   StaticWeights.uniform(ROWS * PER))
+    topology.on_network_tick(1.0)
+    return plane, objects, [SourceNode.view(plane, j) for j in range(ROWS)]
+
+
+class TestRowViews:
+    def test_update_and_send_touch_one_row(self):
+        plane, objects, sources = _plane()
+        objects[3].apply_update(1.0, 5.0, ValueDeviation())
+        assert sources[1].on_update(objects[3], 1.0) is False
+        assert plane.refreshes_sent == [0, 1, 0]
+        assert plane.refreshes == [0, 1, 0]
+        assert plane.value == [1.0, 1.1, 1.0]
+        assert [s.threshold.value for s in sources] == plane.value
+        assert list(sources[1].objects) == objects[2:4]
+
+    def test_heaps_are_per_row(self):
+        plane, objects, sources = _plane()
+        plane.value[:] = [1e9] * ROWS  # hold every refresh back
+        for i in (0, 5, 4):
+            objects[i].apply_update(1.0, float(i + 1), ValueDeviation())
+            sources[i // PER].on_update(objects[i], 1.0)
+        assert plane.tracker.peek(0) == (0, 1.0)
+        assert plane.tracker.peek(1) is None
+        assert plane.tracker.peek(2) == (5, 6.0)
+        assert plane.refreshes_sent == [0, 0, 0]
+
+    def test_feedback_touches_one_row(self):
+        plane, _, sources = _plane()
+        message = FeedbackMessage(source_id=2, cache_id=0)
+        sources[2].on_message(message, 2.0)
+        assert plane.feedback_received == [0, 0, 1]
+        assert plane.feedbacks == [0, 0, 1]
+        assert plane.value == [1.0, 1.0, 0.1]
+        assert plane.last_feedback == [0.0, 0.0, 2.0]
+        assert sources[2].feedback_by_cache == {0: 1}
+        assert sources[0].feedback_by_cache == {}
+
+    def test_threshold_view_writes_its_row(self):
+        plane, _, sources = _plane()
+        view = ThresholdController.view(plane, 0)
+        view.value = 7.0
+        view.on_refresh(1.0)
+        assert plane.value == [7.0 * 1.1, 1.0, 1.0]
+        assert plane.refreshes == [1, 0, 0]
+        assert sources[0].threshold.value == view.value
+
+    def test_standalone_controller_is_a_one_row_plane(self):
+        controller = ThresholdController(initial=4.0, omega=2.0)
+        controller.on_feedback(3.0)
+        assert controller.plane.value == [2.0]
+        assert controller.plane.last_feedback == [3.0]
+        assert controller.feedbacks == 1
+
+    def test_standalone_source_shares_its_controller_columns(self):
+        topology = StarTopology(ConstantBandwidth(100.0),
+                                [ConstantBandwidth(10.0)])
+        objects = [DataObject(index=0, source_id=0)]
+        controller = ThresholdController(initial=3.0)
+        source = SourceNode(
+            0, objects,
+            TriggerMonitor(PriorityTracker(), SimpleDivergencePriority(),
+                           StaticWeights.uniform(1)),
+            controller, topology)
+        controller.value = 9.0
+        assert source.threshold.value == 9.0
+        source.threshold.value = 2.0
+        assert controller.value == 2.0
+
+    def test_standalone_source_must_own_its_controller_row(self):
+        topology = StarTopology(ConstantBandwidth(100.0),
+                                [ConstantBandwidth(10.0)] * 2)
+        with pytest.raises(ValueError, match="row 0"):
+            SourceNode(1, [DataObject(index=0, source_id=1)],
+                       TriggerMonitor(PriorityTracker(),
+                                      SimpleDivergencePriority(),
+                                      StaticWeights.uniform(1)),
+                       ThresholdController(), topology)
+
+
+# ----------------------------------------------------------------------
+# Bad options fail in the constructor, before any topology is built
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("option, value, message", [
+    ("batch_size", 0, "batch_size must be >= 1"),
+    ("batch_size", -3, "batch_size must be >= 1"),
+    ("batch_timeout", -1.0, "batch_timeout must be > 0"),
+    ("monitor", "bogus", "unknown monitor kind"),
+    ("sampling_interval", -1.0, "sampling interval must be > 0"),
+    ("alpha", 0.5, "alpha must be >= 1"),
+    ("omega", 1.0, "omega must be > 1"),
+    ("initial_threshold", 0.0, "initial threshold must be > 0"),
+    ("feedback_period", 0.0, "feedback period must be > 0"),
+    ("feedback_ttl", -5.0, "feedback TTL must be > 0"),
+])
+def test_bad_option_rejected(option, value, message):
+    with pytest.raises(ValueError, match=message):
+        CooperativePolicy(ConstantBandwidth(1.0), [ConstantBandwidth(1.0)],
+                          priority_fn=AreaPriority(), **{option: value})
+
+
+# ----------------------------------------------------------------------
+# The conservation guard run_policy applies to every fault-free run
+# ----------------------------------------------------------------------
+def _finished_run():
+    workload = _workload()
+    policy = _policy(workload)
+    run_policy(workload, ValueDeviation(), policy,
+               RunSpec(warmup=WARMUP, measure=MEASURE))
+    return policy
+
+
+class TestConservationGuard:
+    def test_clean_run_passes(self):
+        _finished_run().check_conservation()
+
+    def test_lost_message_names_the_link(self):
+        policy = _finished_run()
+        policy.topology.cache_links[0].total_delivered -= 1
+        with pytest.raises(RuntimeError, match="cache link 0"):
+            policy.check_conservation()
+
+    def test_unaccounted_send_detected(self):
+        policy = _finished_run()
+        policy.plane.refreshes_sent[3] += 1
+        with pytest.raises(RuntimeError, match="sends times replicas"):
+            policy.check_conservation()
 
 
 def _format_pin(name: str) -> str:  # pragma: no cover - regeneration
