@@ -3,8 +3,9 @@
 Unlike the experiment benches (one pedantic round each), these run real
 timing rounds: they exist to catch performance regressions in the inner
 loops every simulation hammers -- priority-queue churn, divergence
-bookkeeping, link transmission, and the event queue -- plus the
-per-source set-up cost of attaching the cooperative policy.
+bookkeeping, link transmission, source-link charging and the event
+queue -- plus the per-source set-up cost of attaching the cooperative
+policy.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.metrics.collector import DivergenceCollector
 from repro.network.bandwidth import ConstantBandwidth
 from repro.network.link import Link
 from repro.network.messages import RefreshMessage
+from repro.network.topology import StarTopology
 from repro.policies.cooperative import CooperativePolicy
 from repro.sim.engine import Simulator, gc_paused
 
@@ -97,6 +99,36 @@ def test_link_transmit_throughput(benchmark):
     assert len(delivered) > 0
 
 
+def test_source_link_charge(benchmark):
+    """``send_upstream`` round-robin over m = 10^4 lazy constant rows.
+
+    Every row sends once per tick, mid-tick, for four ticks: each send
+    replays the row's skipped refill (sync), accrues to its send time
+    and charges one unit on the source-link columns, then delivers on
+    an uncongested cache link.
+    """
+    m, ticks = 10_000, 4
+    profiles = [ConstantBandwidth(1.0)] * m
+
+    def fresh():
+        topology = StarTopology(ConstantBandwidth(1e9), profiles)
+        messages = [[RefreshMessage(source_id=j, sent_at=tick + 0.5)
+                     for j in range(m)] for tick in range(1, ticks + 1)]
+        return (topology, messages), {}
+
+    def charge(topology, messages):
+        send = topology.send_upstream
+        for tick, batch in enumerate(messages, start=1):
+            topology.on_network_tick(float(tick))
+            for message in batch:
+                send(message)
+        return topology
+
+    topology = benchmark.pedantic(charge, setup=fresh, rounds=5,
+                                  iterations=1)
+    assert sum(topology.source_links.sends) == m * ticks
+
+
 def test_event_queue_throughput(benchmark):
     """Schedule/execute cycles through the phased event queue."""
 
@@ -121,7 +153,7 @@ def test_attach_per_source(benchmark):
     """``CooperativePolicy.attach`` at m = 10^4 sources on a star.
 
     Times the whole set-up of one run after its context exists: the
-    star topology (one link per source), the cache, and the source
+    star topology (one source-link row per source), the cache, and the source
     plane with one row view per source.  Divide by 10^4 for the
     per-source cost.
     """

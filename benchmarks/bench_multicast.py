@@ -65,29 +65,31 @@ def _send_inlined(topology, count):
     """The pre-refactor star fast path, verbatim minus the plane."""
     for i in range(count):
         message = RefreshMessage(source_id=0, sent_at=1.0)
-        source_link = topology.source_links[message.source_id]
-        if (source_link._lazy
-                and source_link._synced_tick < topology._tick_no):
-            source_link.sync_to_tick(
-                topology._tick_no, topology._tick_time,
-                topology._prev_tick_time, topology._tick_dt,
-                topology._tick_boundaries)
+        links = topology.source_links
+        j = message.source_id
+        if links.synced_tick[j] < topology._tick_no:
+            links.sync(j, topology._tick_no, topology._tick_time,
+                       topology._prev_tick_time, topology._tick_dt,
+                       topology._tick_boundaries)
         now = message.sent_at
-        last = source_link._last_accrue
+        credit = links.credit
+        balance = credit[j]
+        last_accrue = links.last_accrue
+        last = last_accrue[j]
         if now > last:
-            rate = source_link._const_rate
+            rate = links.const_rate[j]
             added = (rate * (now - last) if rate is not None
-                     else source_link.profile.capacity(last, now))
-            source_link._last_accrue = now
-            source_link.credit += added
-            source_link._tick_added += added
+                     else links.profile[j].capacity(last, now))
+            last_accrue[j] = now
+            balance += added
+            links.tick_added[j] += added
         size = message.size
-        if source_link.queue or source_link.credit < size:
+        if balance < size:
+            credit[j] = balance
             continue
-        source_link.credit -= size
-        source_link.tick_used += size
-        source_link.total_sent += 1
-        source_link.total_delivered += 1
+        credit[j] = balance - size
+        links.units[j] += size
+        links.sends[j] += 1
         if topology._reliable is not None:
             topology._reliable.on_send(message)
         topology.cache_link.transmit_or_queue(message)

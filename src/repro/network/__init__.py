@@ -27,6 +27,7 @@ from repro.network.messages import (
     RefreshMessage,
     message_cost,
 )
+from repro.network.source_links import SourceLinks
 from repro.network.topology import (
     MultiCacheTopology,
     StarTopology,
@@ -53,6 +54,7 @@ __all__ = [
     "RefreshMessage",
     "ScaledBandwidth",
     "SineBandwidth",
+    "SourceLinks",
     "StarTopology",
     "Topology",
     "TopologyConfig",

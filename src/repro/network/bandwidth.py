@@ -45,7 +45,7 @@ class BandwidthProfile(ABC):
 
         A steady profile earns the same capacity every tick, which lets an
         idle link's per-tick refills be replayed lazily in closed form (the
-        per-tick credit caps telescope -- see ``Link.sync_to_tick``).
+        per-tick credit caps telescope -- see ``SourceLinks.sync``).
         Time-varying profiles return ``None`` and keep eager refills.
         """
         return None
@@ -232,8 +232,8 @@ class TraceBandwidth(BandwidthProfile):
         self._rates_list: list[float] = self.rates.tolist()
         self._cum_list: list[float] = self._cum.tolist()
         self._seg = 0  # cached segment index for monotone call patterns
-        # Lazy-sync jump memos (see Link._sync_trace): furthest segment
-        # the cap-pinned saturation chain reaches from each starting
+        # Lazy-sync jump memos (see SourceLinks._sync_trace): furthest
+        # segment the cap-pinned saturation chain reaches from each starting
         # segment (valid for one tick length), and the end of the
         # zero-rate run from each segment (tick-length independent).
         # Shared across every link driven by this trace.

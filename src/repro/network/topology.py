@@ -49,6 +49,7 @@ from repro.network.delivery import (
 )
 from repro.network.link import Link
 from repro.network.messages import FeedbackMessage, Message
+from repro.network.source_links import SourceLinks
 
 Receiver = Callable[[Message], None]
 
@@ -60,16 +61,21 @@ class Topology(ABC):
     exposes wiring (receiver registration), the per-tick network phase
     (refill + drain), sending in both directions, and capacity telemetry.
 
+    **Source links.**  The ``m`` source links live in one
+    :class:`~repro.network.source_links.SourceLinks` column store
+    (``self.source_links``), one row per source id; they never queue, so
+    they need none of a :class:`Link`'s FIFO machinery.
+
     **Active-link set.**  The per-tick network phase used to refill every
-    link, making each tick O(m) even when nothing moves.  Source links
-    with *steady* bandwidth profiles are instead marked lazy: they skip
-    the tick loop and are brought up to date on first touch through
-    :meth:`Link.sync_to_tick`, whose closed-form refill replay is
-    bit-for-bit identical to the eager schedule (steady per-tick caps
-    telescope).  Cache links stay eager -- they carry FIFO queues, surplus
-    telemetry and possibly time-varying profiles -- as do source links
-    with non-steady profiles.  :meth:`set_lazy_links` restores the fully
-    eager schedule (the tick-scan baseline benchmarks measure against).
+    link, making each tick O(m) even when nothing moves.  Source rows
+    with steady or piecewise-trace bandwidth profiles are instead lazy:
+    they skip the tick loop and are brought up to date on first touch
+    through :meth:`SourceLinks.sync`, whose refill replay is bit-for-bit
+    identical to the eager schedule.  Cache links stay eager -- they
+    carry FIFO queues, surplus telemetry and possibly time-varying
+    profiles -- as do source rows with other profiles.
+    :meth:`set_lazy_links` restores the fully eager schedule (the
+    tick-scan baseline benchmarks measure against).
     """
 
     # ------------------------------------------------------------------
@@ -79,7 +85,9 @@ class Topology(ABC):
         """Set up tick bookkeeping and the active-link set.
 
         Concrete topologies call this at the end of ``__init__`` once
-        ``self.source_links``, :attr:`cache_links`, ``self._delivery``
+        ``self.source_links`` (the
+        :class:`~repro.network.source_links.SourceLinks` store, classified
+        lazy), :attr:`cache_links`, ``self._delivery``
         (the :class:`~repro.network.delivery.DeliveryPlane`) and
         ``self._upstream_targets`` (per-source cache-id tuples) exist.
         """
@@ -87,11 +95,11 @@ class Topology(ABC):
         self._tick_time = 0.0
         self._prev_tick_time = 0.0
         # The exact ticker interval float: the first network tick fires at
-        # sim-start (0.0) + dt, so its timestamp *is* dt.  Lazy links need
+        # sim-start (0.0) + dt, so its timestamp *is* dt.  Lazy rows need
         # it to reproduce the ticker's boundary accumulation bit for bit.
         self._tick_dt = 0.0
         # Every tick's timestamp, indexed by tick number (entry 0 is the
-        # simulation start).  Lazy links on piecewise profiles need the
+        # simulation start).  Lazy rows on piecewise profiles need the
         # true boundary floats to replay skipped refills and to bisect
         # their saturation jumps; ~8 bytes per tick, independent of m.
         self._tick_boundaries: list[float] = [0.0]
@@ -125,54 +133,26 @@ class Topology(ABC):
         # per-send cost is one extra call, not an attribute chain.
         self._upstream_links = list(self.cache_links)
         self._fan_out = self._delivery.fan_out
-        self._classify_links()
 
     @property
     def delivery_plane(self) -> DeliveryPlane:
         """The fan-out strategy this topology routes upstream sends by."""
         return self._delivery
 
-    def _classify_links(self) -> None:
-        eager: list[Link] = []
-        enabled = self._lazy_enabled
-        for link in self.source_links:
-            # Steady profiles replay lazily in closed form; non-steady
-            # trace profiles replay by segment walk (Link._sync_trace).
-            # Anything else (sine) must stay eager.  A constant rate or a
-            # trace already proves the profile replayable, so the
-            # validating ``Link.lazy`` setter is only needed otherwise.
-            if not enabled:
-                link._lazy = False
-            elif link._const_rate is not None or link._trace is not None:
-                link._lazy = True
-            else:
-                link.lazy = link.profile.steady_rate is not None
-            if not link._lazy:
-                eager.append(link)
-        self._eager_source_links = eager
-
     def set_lazy_links(self, enabled: bool) -> None:
         """Enable/disable lazy source-link refills (call before running).
 
-        Links are classified when the topology is built, with lazy
+        Rows are classified when the topology is built, with lazy
         refills on; only a change of mode reclassifies them.
         """
         if enabled != self._lazy_enabled:
             self._lazy_enabled = enabled
-            self._classify_links()
+            self.source_links.classify(enabled)
 
     @property
     def active_link_count(self) -> int:
         """Links refilled eagerly each network tick (telemetry)."""
-        return len(self._eager_source_links) + len(self.cache_links)
-
-    def _sync_source_link(self, source_id: int) -> None:
-        """Bring a lazy source link up to the last tick boundary."""
-        link = self.source_links[source_id]
-        if link.lazy and link._synced_tick < self._tick_no:
-            link.sync_to_tick(self._tick_no, self._tick_time,
-                              self._prev_tick_time, self._tick_dt,
-                              self._tick_boundaries)
+        return len(self.source_links.eager) + len(self.cache_links)
 
     # ------------------------------------------------------------------
     # Shape
@@ -315,7 +295,7 @@ class Topology(ABC):
     def on_network_tick(self, now: float) -> None:
         """Refill every *active* link and drain each cache link's queue.
 
-        Lazy source links are skipped here and catch up on first touch;
+        Lazy source rows are skipped here and catch up on first touch;
         see the class docstring for why that is behavior-preserving.
         """
         self._prev_tick_time = self._tick_time
@@ -324,8 +304,7 @@ class Topology(ABC):
         self._tick_boundaries.append(now)
         if self._tick_no == 1:
             self._tick_dt = now
-        for link in self._eager_source_links:
-            link.refill(now)
+        self.source_links.refill(now)
         for link in self.cache_links:
             link.refill(now)
             link.drain()
@@ -418,31 +397,34 @@ class Topology(ABC):
         used to be per-topology per-replica loops is now the plane's
         :meth:`~repro.network.delivery.DeliveryPlane.fan_out`.
         """
-        source_link = self.source_links[message.source_id]
-        if source_link._lazy and source_link._synced_tick < self._tick_no:
-            source_link.sync_to_tick(self._tick_no, self._tick_time,
-                                     self._prev_tick_time, self._tick_dt,
-                                     self._tick_boundaries)
+        links = self.source_links
+        j = message.source_id
+        if links.synced_tick[j] < self._tick_no:
+            links.sync(j, self._tick_no, self._tick_time,
+                       self._prev_tick_time, self._tick_dt,
+                       self._tick_boundaries)
         now = message.sent_at
-        last = source_link._last_accrue
+        credit = links.credit
+        balance = credit[j]
+        last_accrue = links.last_accrue
+        last = last_accrue[j]
         if now > last:
-            rate = source_link._const_rate
+            rate = links.const_rate[j]
             added = (rate * (now - last) if rate is not None
-                     else source_link.profile.capacity(last, now))
-            source_link._last_accrue = now
-            source_link.credit += added
-            source_link._tick_added += added
+                     else links.profile[j].capacity(last, now))
+            last_accrue[j] = now
+            balance += added
+            links.tick_added[j] += added
         size = message.size
-        if source_link.queue or source_link.credit < size:
+        if balance < size:
+            credit[j] = balance
             return False
-        source_link.credit -= size
-        source_link.tick_used += size
-        source_link.total_units += size
-        source_link.total_sent += 1
-        source_link.total_delivered += 1
+        credit[j] = balance - size
+        links.units[j] += size
+        links.sends[j] += 1
         if self._reliable is not None:
             self._reliable.on_send(message)
-        targets = self._upstream_targets[message.source_id]
+        targets = self._upstream_targets[j]
         primary = targets[0]
         message.cache_id = primary
         if len(targets) == 1:
@@ -524,9 +506,16 @@ class Topology(ABC):
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    @abstractmethod
     def source_at_capacity(self, source_id: int) -> bool:
-        """True when the source spent all its credit this tick (footnote 3)."""
+        """True when the source spent all its credit this tick (footnote 3).
+
+        A lazy row is first brought up to the last tick boundary."""
+        links = self.source_links
+        if links.synced_tick[source_id] < self._tick_no:
+            links.sync(source_id, self._tick_no, self._tick_time,
+                       self._prev_tick_time, self._tick_dt,
+                       self._tick_boundaries)
+        return links.credit[source_id] < 1.0
 
     def cache_surplus(self, cache_id: int,
                       now: float | None = None) -> float:
@@ -597,10 +586,7 @@ class StarTopology(Topology):
                  delivery: str | DeliveryPlane = "unicast") -> None:
         self.cache_link = Link("cache", cache_profile,
                                deliver=self._deliver_to_cache)
-        self.source_links = [
-            Link(f"source-{j}", profile)
-            for j, profile in enumerate(source_profiles)
-        ]
+        self.source_links = SourceLinks(source_profiles)
         self._cache_receiver: Receiver | None = None
         self._all_sources = tuple(range(len(source_profiles)))
         self._delivery = (delivery if isinstance(delivery, DeliveryPlane)
@@ -661,13 +647,8 @@ class StarTopology(Topology):
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    def source_at_capacity(self, source_id: int) -> bool:
-        self._sync_source_link(source_id)
-        return not self.source_links[source_id].has_credit()
-
     def total_messages(self) -> int:
-        return (self.cache_link.total_sent
-                + sum(link.total_sent for link in self.source_links))
+        return self.cache_link.total_sent + sum(self.source_links.sends)
 
 
 class MultiCacheTopology(Topology):
@@ -717,20 +698,9 @@ class MultiCacheTopology(Topology):
                  deliver=self._make_cache_deliver(k))
             for k, profile in enumerate(cache_profiles)
         ]
-        self.source_links = [
-            Link(f"source-{j}", profile)
-            for j, profile in enumerate(source_profiles)
-        ]
+        self.source_links = SourceLinks(source_profiles)
         self._cache_receivers: list[Receiver | None] = [None] * num_caches
-        self._sources_by_cache: list[tuple[int, ...]] = [
-            tuple(j for j in range(num_sources) if k in self._assignment[j])
-            for k in range(num_caches)
-        ]
-        self._owned_by_cache: list[tuple[int, ...]] = [
-            tuple(j for j in range(num_sources)
-                  if self._assignment[j][0] == k)
-            for k in range(num_caches)
-        ]
+        self._build_membership()
         self._delivery = (delivery if isinstance(delivery, DeliveryPlane)
                           else make_delivery_plane(delivery))
         # The SAME list object as _assignment, so reassign_source's
@@ -768,7 +738,7 @@ class MultiCacheTopology(Topology):
         Routing flips immediately: the next upstream refresh lands on the
         new cache's link, and :meth:`caches_of`/:meth:`owned_sources_of`
         reflect the move (the precomputed membership tuples are rebuilt
-        for the two affected caches only).  Messages already sitting in
+        in one pass over the assignment).  Messages already sitting in
         the old cache's FIFO still deliver there -- exactly the in-flight
         window the migration protocol's freshness counters tolerate.
         Only single-target (sharded) sources can migrate; a replicated
@@ -788,14 +758,22 @@ class MultiCacheTopology(Topology):
             raise ValueError(
                 f"source {source_id} is already homed on cache {cache_id}")
         self._assignment[source_id] = (cache_id,)
-        for k in (old, cache_id):
-            members = tuple(
-                j for j in range(self.num_sources)
-                if k in self._assignment[j])
-            self._sources_by_cache[k] = members
-            self._owned_by_cache[k] = tuple(
-                j for j in members if self._assignment[j][0] == k)
+        self._build_membership()
         return old
+
+    def _build_membership(self) -> None:
+        """Per-cache member and owned-source tuples, ascending source ids,
+        in one pass over the assignment."""
+        members: list[list[int]] = [[] for _ in self._cache_links]
+        owned: list[list[int]] = [[] for _ in self._cache_links]
+        for j, targets in enumerate(self._assignment):
+            owned[targets[0]].append(j)
+            for k in targets:
+                members[k].append(j)
+        self._sources_by_cache: list[tuple[int, ...]] = [
+            tuple(sources) for sources in members]
+        self._owned_by_cache: list[tuple[int, ...]] = [
+            tuple(sources) for sources in owned]
 
     # ------------------------------------------------------------------
     # Wiring
@@ -820,13 +798,9 @@ class MultiCacheTopology(Topology):
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    def source_at_capacity(self, source_id: int) -> bool:
-        self._sync_source_link(source_id)
-        return not self.source_links[source_id].has_credit()
-
     def total_messages(self) -> int:
         return (sum(link.total_sent for link in self._cache_links)
-                + sum(link.total_sent for link in self.source_links)
+                + sum(self.source_links.sends)
                 + sum(link.total_sent for link in self._peer_link_list))
 
 

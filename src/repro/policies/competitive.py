@@ -227,11 +227,12 @@ class CompetitivePolicy(CooperativePolicy):
         at most one tick early, re-verified at wake).  ``None`` parks the
         source, exactly like the retry loop's forever-failing sends.
         """
-        link = self.topology.source_links[j]
+        links = self.topology.source_links
+        trace = links.trace[j]
         ticks = 1
-        if link._trace is not None:
-            ticks = ticks_until_capacity(link.profile, now, self._ctx.dt,
-                                         1.0 - link.credit)
+        if trace is not None:
+            ticks = ticks_until_capacity(trace, now, self._ctx.dt,
+                                         1.0 - links.credit[j])
             if ticks is None:
                 return
         self._own_wakeups.arm(j, self._own_tick_no + ticks)

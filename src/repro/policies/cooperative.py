@@ -430,8 +430,10 @@ class CooperativePolicy(SyncPolicy):
                    for j, sent in enumerate(self.plane.refreshes_sent))
 
     def check_conservation(self) -> None:
-        """Links conserve messages, and they accepted one leg per replica
-        of every source send (feedback is the only downstream traffic)."""
+        """Links conserve messages, the cache links accepted one leg per
+        replica of every source send (feedback is the only downstream
+        traffic), and every source link accepted exactly the sends its
+        source counted."""
         super().check_conservation()
         if self.plane is None:
             return
@@ -442,6 +444,14 @@ class CooperativePolicy(SyncPolicy):
             raise RuntimeError(
                 f"cache links accepted {accepted} refresh legs, but the "
                 f"sources sent {fanned} (sends times replicas)")
+        sends = self.topology.source_links.sends
+        counted = self.plane.refreshes_sent
+        if sends != counted:
+            j = next(j for j, (a, c) in enumerate(zip(sends, counted))
+                     if a != c)
+            raise RuntimeError(
+                f"source {j}: its source link accepted {sends[j]} sends, "
+                f"but the source counted {counted[j]} refreshes")
 
     def extras(self) -> dict:
         plane = self.plane

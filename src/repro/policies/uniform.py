@@ -208,11 +208,12 @@ class UniformAllocationPolicy(SyncPolicy):
         afford another message -- parks the source, which the retry loop
         would have done too, one failed send per tick at a time.
         """
-        link = self.topology.source_links[j]
+        links = self.topology.source_links
+        trace = links.trace[j]
         ticks = 1
-        if link._trace is not None:
-            ticks = ticks_until_capacity(link.profile, now, self._ctx.dt,
-                                         1.0 - link.credit)
+        if trace is not None:
+            ticks = ticks_until_capacity(trace, now, self._ctx.dt,
+                                         1.0 - links.credit[j])
             if ticks is None:
                 return
         self._wakeups.arm(j, self._tick_no + ticks)

@@ -1,4 +1,5 @@
-"""Tests for the credit-bucket link with FIFO overflow queue."""
+"""Tests for the credit-bucket link with FIFO overflow queue, and for the
+source-link column store's charge, refill and lazy replay."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from repro.network.bandwidth import (
     TraceBandwidth,
 )
 from repro.network.link import Link
-from repro.network.messages import FeedbackMessage
+from repro.network.messages import FeedbackMessage, RefreshMessage
+from repro.network.source_links import SourceLinks
+from repro.network.topology import StarTopology
 
 
 def make_link(rate=5.0, sink=None):
@@ -22,31 +25,58 @@ def msg(source_id=0):
     return FeedbackMessage(source_id=source_id)
 
 
+def star(*profiles):
+    """A star over ``profiles`` whose cache link never runs dry."""
+    return StarTopology(ConstantBandwidth(1e9), list(profiles))
+
+
+def eager_lazy_pair(make_profile):
+    """Source row 0 refills eagerly every tick; row 1 replays lazily."""
+    topology = star(make_profile(), make_profile())
+    topology.source_links.set_lazy(0, False)
+    return topology
+
+
+def send(topology, row, at):
+    """One upstream send from ``row`` at ``at``: sync, accrue, charge."""
+    return topology.send_upstream(RefreshMessage(source_id=row, sent_at=at))
+
+
+def assert_rows_equal(links, eager, lazy):
+    assert links.credit[lazy] == links.credit[eager]
+    assert links.last_accrue[lazy] == links.last_accrue[eager]
+    assert links.tick_added[lazy] == links.tick_added[eager]
+
+
 class TestTrySend:
+    """A source link refuses a send without credit; it never queues."""
+
     def test_try_send_without_credit_fails(self):
-        link, delivered = make_link()
-        assert not link.try_send(msg())
+        topology = star(ConstantBandwidth(5.0))
+        delivered = []
+        topology.set_cache_receiver(delivered.append)
+        assert not send(topology, 0, 0.0)
         assert delivered == []
+        assert topology.source_links.sends == [0]
 
     def test_try_send_with_credit_delivers_immediately(self):
-        link, delivered = make_link()
-        link.refill(1.0)
-        assert link.try_send(msg())
+        topology = star(ConstantBandwidth(5.0))
+        delivered = []
+        topology.set_cache_receiver(delivered.append)
+        topology.on_network_tick(1.0)
+        assert send(topology, 0, 1.0)
         assert len(delivered) == 1
+        assert topology.source_links.sends == [1]
 
     def test_try_send_consumes_credit(self):
-        link, _ = make_link(rate=2.0)
-        link.refill(1.0)  # 2 units
-        assert link.try_send(msg())
-        assert link.try_send(msg())
-        assert not link.try_send(msg())
-
-    def test_try_send_refuses_while_queue_nonempty(self):
-        """FIFO fairness: direct sends must not overtake queued messages."""
-        link, _ = make_link(rate=0.0)
-        link.enqueue(msg())
-        link.credit = 5.0
-        assert not link.try_send(msg())
+        topology = star(ConstantBandwidth(2.0))
+        topology.on_network_tick(1.0)  # 2 units
+        assert send(topology, 0, 1.0)
+        assert send(topology, 0, 1.0)
+        assert not send(topology, 0, 1.0)
+        assert topology.source_links.sends == [2]
+        assert topology.source_links.units == [2.0]
+        assert topology.cache_link.queued == 0  # refused, not queued
 
 
 class TestQueueing:
@@ -144,18 +174,6 @@ class TestCredit:
         link.refill(1.0)
         assert link.surplus(1.0) == link.surplus()
 
-    def test_surplus_never_accrues_on_a_lazy_link(self):
-        """A raw accrual across un-synced tick boundaries would bypass
-        sync_to_tick's per-tick credit caps; lazy links report their
-        last-synced balance instead."""
-        link, _ = make_link(rate=4.0)
-        link.lazy = True
-        link.refill(1.0)
-        before = (link.credit, link._last_accrue, link._tick_added)
-        assert link.surplus(7.0) == link.surplus()
-        assert (link.credit, link._last_accrue,
-                link._tick_added) == before
-
     def test_utilization_zero_with_no_capacity(self):
         link, _ = make_link(rate=0.0)
         link.refill(1.0)
@@ -209,64 +227,67 @@ class TestPublicCreditApi:
 
 class TestLazyRequiresSteadyProfile:
     """Lazy refill replay is only exact for steady profiles; marking any
-    other link lazy must fail loudly instead of silently diverging."""
+    other source row lazy must fail loudly instead of silently
+    diverging."""
 
     def test_non_steady_profile_refuses_lazy(self):
-        link = Link("sine", SineBandwidth(4.0, 0.25))
+        links = star(SineBandwidth(4.0, 0.25)).source_links
+        assert links.eager == [0]
         with pytest.raises(ValueError, match="not steady"):
-            link.lazy = True
-        assert not link.lazy
+            links.set_lazy(0, True)
+        assert links.eager == [0]
 
     def test_steady_profile_accepts_lazy(self):
-        link = Link("flat", ConstantBandwidth(4.0))
-        link.lazy = True
-        assert link.lazy
-        link.lazy = False
-        assert not link.lazy
+        links = star(ConstantBandwidth(4.0)).source_links
+        links.set_lazy(0, False)
+        assert links.eager == [0]
+        links.set_lazy(0, True)
+        assert links.eager == []
 
     def test_non_steady_may_be_marked_eager(self):
-        link = Link("sine", SineBandwidth(4.0, 0.25))
-        link.lazy = False  # the classify loop always assigns
-        assert not link.lazy
+        links = star(SineBandwidth(4.0, 0.25)).source_links
+        links.set_lazy(0, False)  # the classification always assigns
+        assert links.eager == [0]
 
 
 class TestLazySync:
-    """sync_to_tick must replay skipped refills bit-for-bit: the same
+    """SourceLinks.sync must replay skipped refills bit-for-bit: the same
     accrue/cap float operations at the same tick boundaries the eager
     schedule performed, including non-dyadic rates whose per-tick sums
-    differ from any closed form in the last ulp."""
+    differ from any closed form in the last ulp.  Each test compares an
+    eager row, refilled every tick, with a lazy row over the same
+    profile."""
 
     @staticmethod
     def eager_lazy_pair(rate):
-        return (Link("eager", ConstantBandwidth(rate)),
-                Link("lazy", ConstantBandwidth(rate)))
+        return eager_lazy_pair(lambda: ConstantBandwidth(rate))
 
     def test_sync_matches_eager_refills_when_idle(self):
-        eager, lazy = self.eager_lazy_pair(2.5)
+        topology = self.eager_lazy_pair(2.5)
         for tick in range(1, 8):
-            eager.refill(float(tick))
-        lazy.sync_to_tick(7, 7.0, 6.0, 1.0)
-        assert lazy.credit == eager.credit
-        assert lazy.tick_capacity == eager.tick_capacity
+            topology.on_network_tick(float(tick))
+        links = topology.source_links
+        links.sync(1, 7, 7.0, 6.0, 1.0)
+        assert_rows_equal(links, 0, 1)
 
     def test_sync_matches_eager_after_mid_tick_sends(self):
-        eager, lazy = self.eager_lazy_pair(1.5)
-        for link in (eager, lazy):
-            link.refill(1.0)
-            link.accrue(1.4)       # a send mid-tick accrues to its time
-            link.try_consume(1.0)
-        lazy._synced_tick, lazy._synced_boundary = 1, 1.0
+        topology = self.eager_lazy_pair(1.5)
+        topology.on_network_tick(1.0)
+        for row in (0, 1):
+            assert send(topology, row, 1.4)  # accrues to its send time
         for tick in range(2, 6):
-            eager.refill(float(tick))
-        lazy.sync_to_tick(5, 5.0, 4.0, 1.0)
-        assert lazy.credit == eager.credit
+            topology.on_network_tick(float(tick))
+        links = topology.source_links
+        links.sync(1, 5, 5.0, 4.0, 1.0)
+        assert_rows_equal(links, 0, 1)
 
     def test_sync_is_idempotent_per_tick(self):
-        link = Link("lazy", ConstantBandwidth(2.0))
-        link.sync_to_tick(3, 3.0, 2.0, 1.0)
-        credit = link.credit
-        link.sync_to_tick(3, 3.0, 2.0, 1.0)  # same tick: no double refill
-        assert link.credit == credit
+        links = SourceLinks([ConstantBandwidth(2.0)])
+        links.sync(0, 3, 3.0, 2.0, 1.0)
+        credit = links.credit[0]
+        links.sync(0, 3, 3.0, 2.0, 1.0)  # same tick: no double refill
+        assert links.credit[0] == credit
+        assert links.synced_tick[0] == 3
 
     @pytest.mark.parametrize("rate", [0.25, 0.1, 0.3, 1.0 / 3.0, 0.7])
     def test_fractional_rate_sync_is_bit_exact(self, rate):
@@ -274,31 +295,34 @@ class TestLazySync:
         schedule banked it.  The non-dyadic rates are the regression
         case: summing rate*dt per tick differs from rate*k*dt in the
         last ulp (e.g. ten 0.1-steps give 0.9999999999999999, not 1.0),
-        which is enough to flip a has_credit decision."""
-        eager, lazy = self.eager_lazy_pair(rate)
+        which is enough to flip an at-capacity decision."""
+        topology = self.eager_lazy_pair(rate)
         for tick in range(1, 11):
-            eager.refill(float(tick))
-        lazy.sync_to_tick(10, 10.0, 9.0, 1.0)
-        assert lazy.credit == eager.credit
-        assert lazy.has_credit() == eager.has_credit()
+            topology.on_network_tick(float(tick))
+        links = topology.source_links
+        links.sync(1, 10, 10.0, 9.0, 1.0)
+        assert_rows_equal(links, 0, 1)
+        assert topology.source_at_capacity(1) == \
+            topology.source_at_capacity(0)
 
     @pytest.mark.parametrize("rate", [0.1, 0.3, 2.5])
     def test_long_idle_span_saturation_jump(self, rate):
         """A long idle span saturates the bucket; the replay's jump to
         the final boundary must land on the eager schedule's floats."""
-        eager, lazy = self.eager_lazy_pair(rate)
+        topology = self.eager_lazy_pair(rate)
         boundary = 0.0
         for _ in range(500):
             boundary = boundary + 1.0
-            eager.refill(boundary)
-        lazy.sync_to_tick(500, boundary, boundary - 1.0, 1.0)
-        assert lazy.credit == eager.credit
-        assert lazy.tick_capacity == eager.tick_capacity
+            topology.on_network_tick(boundary)
+        links = topology.source_links
+        links.sync(1, 500, boundary, boundary - 1.0, 1.0)
+        assert_rows_equal(links, 0, 1)
 
     def test_consume_between_syncs_stays_exact(self):
         """Interleave sends and idle spans: the replayed chain must track
         the eager chain through every consume/refill alternation."""
-        eager, lazy = self.eager_lazy_pair(0.3)
+        topology = self.eager_lazy_pair(0.3)
+        links = topology.source_links
         tick = 0
         boundary = 0.0
         for span in (4, 7, 1, 13, 2):
@@ -306,15 +330,15 @@ class TestLazySync:
             for _ in range(span):
                 prev = boundary
                 boundary = boundary + 1.0
-                eager.refill(boundary)
+                topology.on_network_tick(boundary)
             tick += span
-            lazy.sync_to_tick(tick, boundary, prev, 1.0)
-            assert lazy.credit == eager.credit
+            links.sync(1, tick, boundary, prev, 1.0)
+            assert_rows_equal(links, 0, 1)
             send_at = boundary + 0.4
-            for link in (eager, lazy):
-                link.accrue(send_at)
-                link.try_consume(1.0)
-            assert lazy.credit == eager.credit
+            for row in (0, 1):
+                send(topology, row, send_at)
+            assert_rows_equal(links, 0, 1)
+        assert links.sends[1] == links.sends[0] > 0
 
     def test_on_queue_hook_fires(self):
         link = Link("hooked", ConstantBandwidth(0.0))
@@ -363,29 +387,27 @@ class TestLazyTraceSync:
 
     def run_pair(self, make_trace, checkpoints, consume_at=(),
                  pass_boundaries=True):
-        eager = Link("eager", make_trace())
-        lazy = Link("lazy", make_trace())
+        topology = eager_lazy_pair(make_trace)
+        links = topology.source_links
         ticks = max(checkpoints)
         chain = self.boundaries(ticks)
         consume_at = set(consume_at)
         checkpoint_set = set(checkpoints)
-        synced = 0
         for tick in range(1, ticks + 1):
-            eager.refill(chain[tick])
+            topology.on_network_tick(chain[tick])
             if tick in checkpoint_set:
-                lazy.sync_to_tick(tick, chain[tick], chain[tick - 1], 1.0,
-                                  chain if pass_boundaries else None)
-                synced = tick
-                assert lazy.credit == eager.credit, f"tick {tick}"
-                assert lazy.tick_capacity == eager.tick_capacity
-                assert lazy._synced_tick == synced
+                links.sync(1, tick, chain[tick], chain[tick - 1], 1.0,
+                           chain if pass_boundaries else None)
+                assert links.credit[1] == links.credit[0], f"tick {tick}"
+                assert_rows_equal(links, 0, 1)
+                assert links.synced_tick[1] == tick
             if tick in consume_at:
                 send_at = chain[tick] + 0.37
-                for link in (eager, lazy):
-                    link.accrue(send_at)
-                    link.try_consume(1.0)
-                assert lazy.credit == eager.credit
-        return eager, lazy
+                for row in (0, 1):
+                    send(topology, row, send_at)
+                assert_rows_equal(links, 0, 1)
+        assert links.sends[1] == links.sends[0]
+        return topology
 
     @pytest.mark.parametrize("name", sorted(TRACES))
     def test_sparse_sync_matches_eager(self, name):
@@ -428,37 +450,41 @@ class TestLazyTraceSync:
         """Many links sharing one trace (the m = 10^5 layout) must not
         interfere through the shared segment cache and jump memos."""
         trace = _diurnal(1.0, 120.0, 200)
-        eagers = [Link(f"e{i}", _diurnal(1.0, 120.0, 200))
-                  for i in range(3)]
-        lazies = [Link(f"l{i}", trace) for i in range(3)]
+        # Rows 0-2 refill eagerly, each on its own trace; rows 3-5 share
+        # one trace and replay lazily.
+        topology = star(*[_diurnal(1.0, 120.0, 200) for _ in range(3)],
+                        trace, trace, trace)
+        links = topology.source_links
+        for row in range(3):
+            links.set_lazy(row, False)
         chain = self.boundaries(300)
         schedules = [[50, 170, 300], [51, 290, 300], [120, 121, 300]]
         for tick in range(1, 301):
-            for eager in eagers:
-                eager.refill(chain[tick])
-            for lazy, schedule in zip(lazies, schedules):
+            topology.on_network_tick(chain[tick])
+            for row, schedule in enumerate(schedules, start=3):
                 if tick in schedule:
-                    lazy.sync_to_tick(tick, chain[tick], chain[tick - 1],
-                                      1.0, chain)
-        for eager, lazy in zip(eagers, lazies):
-            assert lazy.credit == eager.credit
-            assert lazy.tick_capacity == eager.tick_capacity
+                    links.sync(row, tick, chain[tick], chain[tick - 1],
+                               1.0, chain)
+        for row in range(3):
+            assert_rows_equal(links, row, row + 3)
 
     def test_trace_profile_accepts_lazy(self):
-        link = Link("trace", _diurnal(1.0, 60.0, 20))
-        link.lazy = True
-        assert link.lazy
+        links = star(_diurnal(1.0, 60.0, 20)).source_links
+        assert links.eager == []
+        links.set_lazy(0, False)
+        links.set_lazy(0, True)
+        assert links.eager == []
 
     def test_flat_trace_takes_steady_path(self):
         """An all-equal-rate trace reports a steady rate and uses the
         constant closed-form jump, bit-identical to ConstantBandwidth."""
         flat = TraceBandwidth(times=[0.0, 30.0], rates=[2.5, 2.5])
-        eager = Link("eager", ConstantBandwidth(2.5))
-        lazy = Link("lazy", flat)
-        assert lazy._trace is None  # routed to the steady sync
+        topology = star(ConstantBandwidth(2.5), flat)
+        links = topology.source_links
+        links.set_lazy(0, False)
+        assert links.trace[1] is None  # routed to the steady sync
         chain = self.boundaries(200)
         for tick in range(1, 201):
-            eager.refill(chain[tick])
-        lazy.sync_to_tick(200, chain[200], chain[199], 1.0, chain)
-        assert lazy.credit == eager.credit
-        assert lazy.tick_capacity == eager.tick_capacity
+            topology.on_network_tick(chain[tick])
+        links.sync(1, 200, chain[200], chain[199], 1.0, chain)
+        assert_rows_equal(links, 0, 1)

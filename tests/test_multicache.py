@@ -133,7 +133,7 @@ class TestReplicaRouting:
         topo = make_multi(source_rates=(2.0, 2.0), assignment=assignment)
         topo.on_network_tick(1.0)
         topo.send_upstream(RefreshMessage(source_id=0, sent_at=1.0))
-        assert topo.source_links[0].credit == pytest.approx(1.0)
+        assert topo.source_links.credit[0] == pytest.approx(1.0)
 
     def test_replicas_consume_each_cache_links_capacity(self):
         assignment = replica_assignment(2, 2, 2)

@@ -372,6 +372,12 @@ class TestConservationGuard:
         with pytest.raises(RuntimeError, match="sends times replicas"):
             policy.check_conservation()
 
+    def test_source_link_counter_names_the_source(self):
+        policy = _finished_run()
+        policy.topology.source_links.sends[3] += 1
+        with pytest.raises(RuntimeError, match="source 3: its source link"):
+            policy.check_conservation()
+
 
 def _format_pin(name: str) -> str:  # pragma: no cover - regeneration
     *scalars, thresholds = outcome(name)

@@ -1,5 +1,7 @@
 """Tests for the star topology routing rules."""
 
+import tracemalloc
+
 import pytest
 
 from repro.network.bandwidth import ConstantBandwidth
@@ -222,7 +224,7 @@ class TestActiveLinkSet:
     def test_steady_source_links_are_lazy(self):
         topo = StarTopology(ConstantBandwidth(10.0),
                             [ConstantBandwidth(1.0)] * 5)
-        assert all(link.lazy for link in topo.source_links)
+        assert topo.source_links.eager == []
         assert topo.active_link_count == 1  # just the cache link
 
     def test_non_steady_source_links_stay_eager(self):
@@ -230,8 +232,7 @@ class TestActiveLinkSet:
         topo = StarTopology(ConstantBandwidth(10.0),
                             [SineBandwidth(1.0, 0.25),
                              ConstantBandwidth(1.0)])
-        assert not topo.source_links[0].lazy
-        assert topo.source_links[1].lazy
+        assert topo.source_links.eager == [0]
         assert topo.active_link_count == 2
 
     def test_set_lazy_links_false_restores_eager_schedule(self):
@@ -240,7 +241,8 @@ class TestActiveLinkSet:
         topo.set_lazy_links(False)
         assert topo.active_link_count == 4
         topo.on_network_tick(1.0)
-        assert all(link.tick_capacity == 1.0 for link in topo.source_links)
+        assert topo.source_links.eager == [0, 1, 2]
+        assert topo.source_links.credit == [1.0, 1.0, 1.0]
 
     def test_lazy_link_synced_before_capacity_check(self):
         """source_at_capacity on an untouched lazy link must see the
@@ -250,3 +252,21 @@ class TestActiveLinkSet:
         for tick in range(1, 5):
             topo.on_network_tick(float(tick))
         assert not topo.source_at_capacity(0)  # 0.5/tick banked >= 1.0
+
+
+class TestSourceLinkMemory:
+    def test_star_over_1e5_sources_allocates_at_most_25_mib(self):
+        """Source links are rows of flat columns, not one ``Link`` (with
+        its own FIFO deque and name) per source: one ``Link`` per source
+        cost about 1 KB, some 100 MiB over 10^5 sources."""
+        profiles = [ConstantBandwidth(1.0) for _ in range(100_000)]
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            topology = StarTopology(ConstantBandwidth(10.0), profiles)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert topology.num_sources == 100_000
+        assert peak - start <= 25 * 2 ** 20, \
+            f"star build allocated {(peak - start) / 2 ** 20:.1f} MiB"
