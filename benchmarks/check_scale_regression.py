@@ -1,17 +1,22 @@
 """Fail when a fresh BENCH_scale.json regressed against a baseline.
 
-The perf-regression CI job snapshots the *committed* BENCH_scale.json,
-re-runs the E9 m = 10^5 bench (which overwrites the file), then invokes
-this script to compare the two.  A point regresses when its end-to-end
-cost (``gen_seconds + wall_seconds``) exceeds the baseline's by more than
+The perf-regression CI job re-runs the E9 m = 10^5 bench on the base
+commit and on the candidate, on the same runner, then invokes this
+script to compare the two payloads; the *committed* BENCH_scale.json
+snapshot is only the fallback baseline, used when no base revision
+is resolvable or its bench fails.  A point regresses when its end-to-end cost
+(``gen_seconds + wall_seconds``) exceeds the baseline's by more than
 ``--tolerance`` (default 20%).  Points are matched on
-``(num_sources, scheduling, replay, workers, topology, bandwidth)`` --
-a point measured at a different worker count, cache layout, or
+``(num_sources, scheduling, replay, workers, topology, bandwidth)``,
+where a missing ``workers`` reads as 1 and a missing ``topology`` as
+``"star"`` (today's points carry neither: every E9 point is a serial
+star run), so snapshots written before those fields were dropped still
+match.  A point measured at a different worker count, cache layout, or
 link-profile kind (steady vs a breakpoint trace) is a *different*
 point, never compared against a serial/star/steady baseline; points
 present on only one side are reported but never fail the check, so
 adding or retiring bench points does not break the gate.  The m = 10^6
-shard-parallel points (the payload's ``million`` section) and the E11
+serial-star point (the payload's ``million`` section) and the E11
 trace-driven points (the ``netcond`` section) join the comparison
 alongside the top-level points.
 

@@ -14,6 +14,7 @@ Usage (installed package)::
     python -m repro rebalance --num-caches 1 2 4
     python -m repro multicast --replications 1 2 4
     python -m repro readmodel --replication 3 --read-rate 0.5
+    python -m repro scale --sources 1000 10000 --workers 2
     python -m repro quickstart            # the README comparison
     python -m repro profile scale --sources 100000   # cProfile any command
 
@@ -216,8 +217,7 @@ def _cmd_scale(args: argparse.Namespace) -> str:
                        replays=(("event", "batched")
                                 if args.replay == "both"
                                 else (args.replay,)),
-                       workers=args.workers,
-                       shard_caches=args.shard_caches)
+                       workers=args.workers)
     return render_scale(
         points, "E9 scale sweep: event-driven wakeups vs per-tick scans "
                 f"(sparse updates, lambda = {args.update_rate}/s)")
@@ -393,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scale",
                        help="E9 scale sweep: event-driven wakeups vs "
-                            "per-tick scans on sparse workloads")
+                            "per-tick scans on sparse workloads (one "
+                            "cooperative star per cell; --workers runs "
+                            "the cells in parallel)")
     p.add_argument("--sources", type=int, nargs="+",
                    default=[100, 1000, 10000],
                    help="source counts to sweep (one object per source)")
@@ -409,12 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="batched",
                    help="trace replay mode; 'both' times the per-event "
                         "loop against the batched fast path")
-    p.add_argument("--shard-caches", type=int, default=None,
-                   help="run each point as a sharded multi-cache "
-                        "topology with this many caches, advancing the "
-                        "shards in parallel worker processes (tier 2); "
-                        "without it --workers parallelizes across sweep "
-                        "cells (tier 1)")
     _add_timing(p, warmup=100.0, measure=500.0)
     _add_workers(p)
     p.set_defaults(fn=_cmd_scale)

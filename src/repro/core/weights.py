@@ -23,8 +23,8 @@ class WeightModel(ABC):
     """Time-varying nonnegative weights over ``n`` objects."""
 
     def __init__(self, n: int) -> None:
-        # n == 0 is a valid degenerate model: shard slicing can produce an
-        # empty shard, whose weight vector is simply empty.
+        # n == 0 is a valid degenerate model (an empty workload), whose
+        # weight vector is simply empty.
         if n < 0:
             raise ValueError(f"object count must be >= 0, got n={n}")
         self.n = n
@@ -53,17 +53,6 @@ class WeightModel(ABC):
             indices = np.arange(self.n)
         return np.array([self.weight(int(i), float(t))
                          for i, t in zip(indices, times)], dtype=float)
-
-    def subset(self, indices: np.ndarray) -> "WeightModel":
-        """Weight model restricted to ``indices``, relabeled ``0..k-1``.
-
-        Shard-parallel execution runs each cache's source block as an
-        independent sub-simulation over locally-renumbered objects; the
-        sub-model must return bit-identical weights for the surviving
-        objects (``subset(idx).weight(j, t) == weight(idx[j], t)``).
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support shard slicing")
 
 
 class StaticWeights(WeightModel):
@@ -98,9 +87,6 @@ class StaticWeights(WeightModel):
         if indices is None:
             return self.values
         return self.values[indices]
-
-    def subset(self, indices: np.ndarray) -> "StaticWeights":
-        return StaticWeights(self.values[indices])
 
 
 class SineWeights(WeightModel):
@@ -163,15 +149,6 @@ class SineWeights(WeightModel):
             omega, phase = self.omega[indices], self.phase[indices]
         return base * (1.0 + amp * np.sin(omega * times + phase))
 
-    def subset(self, indices: np.ndarray) -> "SineWeights":
-        sliced = SineWeights(self.base[indices], self.amplitude[indices],
-                             2.0 * np.pi / self.omega[indices],
-                             self.phase[indices])
-        # The constructor stores omega = 2*pi/period; round-tripping through
-        # period can drop an ulp, so keep the original omega bits.
-        sliced.omega = self.omega[indices]
-        return sliced
-
 
 class CostAdjustedWeights(WeightModel):
     """Weights divided by per-object refresh cost (paper Sec 10.1).
@@ -208,10 +185,6 @@ class CostAdjustedWeights(WeightModel):
         costs = self.costs if indices is None else self.costs[indices]
         return self.base.weights_at(times, indices) / costs
 
-    def subset(self, indices: np.ndarray) -> "CostAdjustedWeights":
-        return CostAdjustedWeights(self.base.subset(indices),
-                                   self.costs[indices])
-
 
 class ProductWeights(WeightModel):
     """``W = I * P``: importance times popularity (paper Sec 3.2)."""
@@ -237,7 +210,3 @@ class ProductWeights(WeightModel):
                    indices: np.ndarray | None = None) -> np.ndarray:
         return (self.importance.weights_at(times, indices)
                 * self.popularity.weights_at(times, indices))
-
-    def subset(self, indices: np.ndarray) -> "ProductWeights":
-        return ProductWeights(self.importance.subset(indices),
-                              self.popularity.subset(indices))

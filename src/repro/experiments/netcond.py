@@ -144,7 +144,8 @@ def run_netcond_scale(num_sources: int = 100_000,
             weighted_divergence=result.weighted_divergence,
             refreshes=result.refreshes,
             feedback_messages=result.feedback_messages,
-            gen_seconds=gen_seconds, bandwidth=bandwidth))
+            gen_seconds=gen_seconds, bandwidth=bandwidth,
+            refreshes_sent=result.extras["refreshes_sent"]))
         del policy, result
         gc.collect()
     return points

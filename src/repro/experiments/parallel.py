@@ -1,30 +1,19 @@
-"""Process-parallel execution: sweep fan-out and shard-parallel runs.
+"""Process-parallel sweep fan-out.
 
-Two independent tiers, both built on ``ProcessPoolExecutor``:
+Experiment grids (fig4 cells, E9 scale points, E10 read sweeps,
+multicache comparisons) are embarrassingly parallel: every cell is a
+pure function of its parameters and a seed.  :class:`ParallelRunner`
+maps a module-level cell function over picklable payloads on a
+``ProcessPoolExecutor`` and returns results in payload order, so a
+parallel sweep is *bit-for-bit identical* to the serial loop -- only
+wall clock changes.  Workloads are never pickled (a m = 10^6 trace is
+~100 MB of arrays); instead each payload carries a :class:`WorkloadSpec`
+and the worker regenerates the trace from the seed, memoizing the most
+recent build per process.
 
-* **Tier 1 -- sweep-level parallelism.**  Experiment grids (fig4 cells,
-  E9 scale points, E10 read sweeps, multicache comparisons) are
-  embarrassingly parallel: every cell is a pure function of its
-  parameters and a seed.  :class:`ParallelRunner` maps a module-level
-  cell function over picklable payloads and returns results in payload
-  order, so a parallel sweep is *bit-for-bit identical* to the serial
-  loop -- only wall clock changes.  Workloads are never pickled (a
-  m = 10^6 trace is ~100 MB of arrays); instead each payload carries a
-  :class:`WorkloadSpec` and the worker regenerates the trace from the
-  seed, memoizing the most recent build per process.
-
-* **Tier 2 -- shard-parallel single runs.**  In a ``"sharded"``
-  :class:`~repro.network.topology.TopologyConfig` every source reports
-  to exactly one cache, feedback flows cache -> own sources only, and no
-  link, rng stream, or controller is shared across shards -- so the
-  serial interleaved schedule factors exactly into one independent
-  sub-simulation per cache.  :func:`run_cooperative_sharded` slices the
-  workload per shard (:meth:`~repro.workloads.synthetic.Workload.shard`),
-  runs each shard in a worker process advancing feedback-window by
-  feedback-window, and merges integrals/counters back into the exact
-  arithmetic the serial run performs (scatter + one ``np.sum``).  The
-  merge is pinned bit-for-bit against the serial path in
-  ``tests/test_parallel.py``; DESIGN.md Sec 11 gives the argument.
+A single simulation always runs in one process: the paper's protocol is
+a star of one cache and m sources, whose interleaved schedule does not
+factor into independent pieces.
 
 Everything a worker touches must be importable by reference: cell
 functions live at module level, payloads are frozen dataclasses of
@@ -36,19 +25,11 @@ from __future__ import annotations
 import importlib
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.core.divergence import DivergenceMetric
-from repro.core.priority import AreaPriority, PriorityFunction
-from repro.experiments.runner import RunSpec, make_context
-from repro.metrics.report import RunResult
-from repro.network.bandwidth import BandwidthProfile
-from repro.network.topology import TopologyConfig
-from repro.policies.cooperative import CooperativePolicy
-from repro.sim.engine import gc_paused
 from repro.workloads.synthetic import Workload
 
 
@@ -119,7 +100,7 @@ def rng_probe(seed: int) -> tuple[int, list[float]]:
 
 
 # ----------------------------------------------------------------------
-# Tier 1: order-preserving process-pool map
+# Order-preserving process-pool map
 # ----------------------------------------------------------------------
 class ParallelRunner:
     """Order-preserving map of a cell function over payloads.
@@ -144,219 +125,3 @@ class ParallelRunner:
         workers = min(self.workers, len(payloads))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, payloads))
-
-
-# ----------------------------------------------------------------------
-# Tier 2: shard-parallel cooperative runs
-# ----------------------------------------------------------------------
-def shard_sources(config: TopologyConfig, num_sources: int,
-                  cache_id: int) -> list[int]:
-    """Global source ids owned by ``cache_id``, ascending."""
-    assignment = config.assignment_for(num_sources)
-    return [j for j in range(num_sources) if cache_id in assignment[j]]
-
-
-@dataclass(frozen=True)
-class ShardTask:
-    """Everything one worker needs to run a single shard."""
-
-    workload: WorkloadSpec
-    spec: RunSpec  #: the *global* run spec (topology = the sharded config)
-    cache_id: int
-    metric: DivergenceMetric
-    cache_bandwidth: BandwidthProfile  #: aggregate cache-side profile
-    source_bandwidths: tuple[BandwidthProfile, ...]  #: full global list
-    priority_fn: PriorityFunction
-    scheduling: str = "event"
-    policy_kwargs: tuple[tuple[str, Any], ...] = ()
-
-
-@dataclass
-class ShardResult:
-    """One shard's integrals, counters and telemetry, ready to merge."""
-
-    cache_id: int
-    sources: list[int]  #: global source ids, ascending
-    objects: np.ndarray  #: global object indices, ascending
-    duration: float
-    weighted_integral: np.ndarray
-    unweighted_integral: np.ndarray
-    thresholds: list[float]  #: final T_j per source, global-ascending order
-    refreshes_sent: int
-    refreshes_applied: int
-    feedback_sent: int
-    cache_messages: int
-    utilization: float
-    queued: int
-    queued_peak: int
-    windows: int  #: feedback windows executed (barrier telemetry)
-
-
-def _run_shard(task: ShardTask) -> ShardResult:
-    """Run one shard as an independent single-cache sub-simulation.
-
-    The sub-run advances feedback-window by feedback-window (successive
-    ``run_until`` calls at window boundaries): each boundary is the
-    designated exchange point where a future cross-shard rebalancer would
-    synchronize.  With today's disjoint shards nothing crosses the
-    boundary, so the windowed schedule is provably identical to one
-    uninterrupted run (events at or before each boundary fire in the same
-    ``(time, phase, seq)`` order either way).
-    """
-    with gc_paused():
-        workload = build_workload(task.workload)
-        config = task.spec.topology
-        assert config is not None and config.kind == "sharded"
-        sources = shard_sources(config, workload.num_sources, task.cache_id)
-        sub = workload.shard(np.asarray(sources, dtype=np.int64))
-        ops = workload.objects_per_source
-        objects = (np.asarray(sources, dtype=np.int64)[:, None] * ops
-                   + np.arange(ops, dtype=np.int64)[None, :]).reshape(-1)
-        profile = config.cache_profiles(task.cache_bandwidth)[task.cache_id]
-        sub_spec = replace(task.spec,
-                           topology=TopologyConfig(kind="sharded",
-                                                   num_caches=1))
-        policy = CooperativePolicy(
-            profile,
-            [task.source_bandwidths[j] for j in sources],
-            priority_fn=task.priority_fn,
-            scheduling=task.scheduling,
-            **dict(task.policy_kwargs))
-        ctx = make_context(sub, task.metric, sub_spec)
-        policy.attach(ctx)
-        if task.spec.resample_interval is not None:
-            ctx.collector.schedule_resample(ctx.sim,
-                                            task.spec.resample_interval)
-        end = task.spec.end_time
-        window = policy._feedback_period_for(0, ctx)
-        windows = 0
-        if window is None or window <= 0:
-            ctx.sim.run_until(end)
-            windows = 1
-        else:
-            now = 0.0
-            while now < end:
-                now = min(now + window, end)
-                ctx.sim.run_until(now)
-                windows += 1
-        ctx.collector.finalize(end)
-        collector = ctx.collector
-        link = policy.topology.cache_links[0]
-        return ShardResult(
-            cache_id=task.cache_id,
-            sources=sources,
-            objects=objects,
-            duration=collector.duration,
-            weighted_integral=collector._weighted_integral,
-            unweighted_integral=collector._unweighted_integral,
-            thresholds=list(policy.plane.value),
-            refreshes_sent=sum(policy.plane.refreshes_sent),
-            refreshes_applied=policy.refreshes(),
-            feedback_sent=policy.feedback_messages(),
-            cache_messages=link.total_sent,
-            utilization=link.utilization(),
-            queued=link.queued,
-            queued_peak=link.total_queued_peak,
-            windows=windows,
-        )
-
-
-def merge_shard_results(shards: list[ShardResult], num_sources: int,
-                        num_objects: int, metric_name: str) -> RunResult:
-    """Reassemble per-shard results into the serial run's ``RunResult``.
-
-    Bitwise-faithful to the serial arithmetic: per-object integrals are
-    scattered back to their global positions and reduced by the same
-    single ``np.sum`` the collector performs; the mean threshold is a
-    left-to-right Python-float sum in ascending global source order,
-    exactly the order ``CooperativePolicy.extras`` folds; counters are
-    integer sums and maxes.
-    """
-    shards = sorted(shards, key=lambda s: s.cache_id)
-    weighted = np.zeros(num_objects)
-    unweighted = np.zeros(num_objects)
-    thresholds = [0.0] * num_sources
-    refreshes_sent = refreshes = feedback = messages = 0
-    for shard in shards:
-        weighted[shard.objects] = shard.weighted_integral
-        unweighted[shard.objects] = shard.unweighted_integral
-        for j, value in zip(shard.sources, shard.thresholds):
-            thresholds[j] = value
-        refreshes_sent += shard.refreshes_sent
-        refreshes += shard.refreshes_applied
-        feedback += shard.feedback_sent
-        messages += shard.cache_messages
-    duration = shards[0].duration
-    weighted_mean = (float(weighted.sum()) / duration / num_objects
-                     if duration > 0 else 0.0)
-    unweighted_mean = (float(unweighted.sum()) / duration / num_objects
-                       if duration > 0 else 0.0)
-    extras: dict = {
-        "mean_threshold": (sum(thresholds) / len(thresholds)
-                           if thresholds else 0.0),
-        "refreshes_sent": refreshes_sent,
-        "refreshes_in_flight": refreshes_sent - refreshes,
-        "cache_queue_peak": max((s.queued_peak for s in shards), default=0),
-        "shard_windows": [s.windows for s in shards],
-    }
-    if len(shards) > 1:
-        extras["topology"] = {
-            "num_caches": len(shards),
-            "cache_utilization": [s.utilization for s in shards],
-            "cache_queued": [s.queued for s in shards],
-            "cache_queued_peak": [s.queued_peak for s in shards],
-        }
-    return RunResult(
-        policy="cooperative",
-        metric=metric_name,
-        num_sources=num_sources,
-        num_objects=num_objects,
-        duration=duration,
-        weighted_divergence=weighted_mean,
-        unweighted_divergence=unweighted_mean,
-        refreshes=refreshes,
-        feedback_messages=feedback,
-        poll_messages=0,
-        messages_total=messages,
-        extras=extras,
-    )
-
-
-def run_cooperative_sharded(workload_spec: WorkloadSpec,
-                            metric: DivergenceMetric,
-                            spec: RunSpec,
-                            cache_bandwidth: BandwidthProfile,
-                            source_bandwidths: Sequence[BandwidthProfile],
-                            priority_fn: PriorityFunction | None = None,
-                            scheduling: str = "event",
-                            workers: int = 1,
-                            **policy_kwargs: Any) -> RunResult:
-    """Run one cooperative sharded-topology simulation, shard-parallel.
-
-    ``spec.topology`` must be a ``kind="sharded"`` configuration; each of
-    its caches becomes one worker task advancing independently between
-    feedback windows.  The merged result is bit-for-bit equal to the
-    serial ``run_policy`` on the same workload/spec (pinned in
-    ``tests/test_parallel.py``); ``workers=1`` runs the shards serially
-    through the identical slicing/merge path.
-    """
-    config = spec.topology
-    if config is None or config.kind != "sharded":
-        raise ValueError(
-            "shard-parallel execution needs a kind='sharded' topology, "
-            f"got {config!r}")
-    if priority_fn is None:
-        priority_fn = AreaPriority()
-    tasks = [
-        ShardTask(workload=workload_spec, spec=spec, cache_id=k,
-                  metric=metric, cache_bandwidth=cache_bandwidth,
-                  source_bandwidths=tuple(source_bandwidths),
-                  priority_fn=priority_fn, scheduling=scheduling,
-                  policy_kwargs=tuple(sorted(policy_kwargs.items())))
-        for k in range(config.num_caches)
-    ]
-    shards = ParallelRunner(workers).map(_run_shard, tasks)
-    num_sources = len(source_bandwidths)
-    workload_objects = sum(len(s.objects) for s in shards)
-    return merge_shard_results(shards, num_sources, workload_objects,
-                               metric.name)

@@ -21,6 +21,12 @@ differs.  The headline number is the speedup at m = 10^3; the m = 10^4
 point demonstrates that the event-driven scheduler reaches a scale where
 the tick scan is impractical, so its baseline is skipped by default
 (``max_tick_sources``).
+
+At the default cache bandwidth the large points are not in the regime
+the protocol is designed for: the cache link serves each source far less
+often than once per run, so most sent refreshes are still queued at the
+end.  :func:`render_scale` says so with a ``WARNING: E9 regime`` line
+whenever more than half of the sent refreshes were never applied.
 """
 
 from __future__ import annotations
@@ -37,12 +43,10 @@ from repro.experiments.parallel import (
     ParallelRunner,
     WorkloadSpec,
     build_workload,
-    run_cooperative_sharded,
 )
 from repro.experiments.runner import RunSpec, run_policy
 from repro.metrics.report import format_table
 from repro.network.bandwidth import ConstantBandwidth
-from repro.network.topology import TopologyConfig
 from repro.policies.cooperative import CooperativePolicy
 from repro.workloads.synthetic import Workload, uniform_random_walk
 
@@ -59,10 +63,10 @@ class ScalePoint:
     feedback_messages: int
     gen_seconds: float = 0.0  #: wall clock of workload generation
     replay: str = "batched"  #: trace replay mode used
-    workers: int = 1  #: process-pool workers used for this point
-    topology: str = "star"  #: cache layout ("star" or "sharded-N")
     bandwidth: str = "steady"  #: link-profile kind ("steady" or a trace
     #: label like "diurnal-1000"; see experiments.netcond)
+    refreshes_sent: int = 0  #: refreshes the sources sent; those not in
+    #: ``refreshes`` were still queued or discarded stale at the end
 
 
 def sparse_workload(num_sources: int, horizon: float,
@@ -92,8 +96,6 @@ class ScaleCell:
     warmup: float
     measure: float
     seed: int
-    shard_caches: int | None = None  #: tier-2 shard count (None = star)
-    shard_workers: int = 1  #: tier-2 workers inside this cell
 
 
 def _run_scale_cell(cell: ScaleCell) -> ScalePoint:
@@ -108,46 +110,26 @@ def _run_scale_cell(cell: ScaleCell) -> ScalePoint:
         sparse_workload, cell.seed, num_sources=cell.num_sources,
         horizon=cell.warmup + cell.measure,
         update_rate=cell.update_rate)
-    metric = ValueDeviation()
-    if cell.shard_caches and cell.shard_caches > 1:
-        spec = RunSpec(warmup=cell.warmup, measure=cell.measure,
-                       seed=cell.seed, replay=cell.replay,
-                       topology=TopologyConfig(kind="sharded",
-                                               num_caches=cell.shard_caches))
-        start = time.perf_counter()
-        result = run_cooperative_sharded(
-            wspec, metric, spec,
-            ConstantBandwidth(cell.cache_bandwidth),
-            [ConstantBandwidth(cell.source_bandwidth)
-             for _ in range(cell.num_sources)],
-            priority_fn=AreaPriority(),
-            scheduling=cell.scheduling,
-            workers=cell.shard_workers)
-        # Generation happens inside the shard workers (memoized per
-        # process) and is therefore part of the measured wall clock.
-        wall = time.perf_counter() - start
-        gen_seconds = 0.0
-        topology = f"sharded-{cell.shard_caches}"
-        workers = cell.shard_workers
-    else:
-        gen_start = time.perf_counter()
-        workload = build_workload(wspec)
-        gen_seconds = time.perf_counter() - gen_start
-        spec = RunSpec(warmup=cell.warmup, measure=cell.measure,
-                       seed=cell.seed, replay=cell.replay)
-        policy = CooperativePolicy(
-            ConstantBandwidth(cell.cache_bandwidth),
-            [ConstantBandwidth(cell.source_bandwidth)
-             for _ in range(cell.num_sources)],
-            priority_fn=AreaPriority(),
-            scheduling=cell.scheduling)
-        start = time.perf_counter()
-        result = run_policy(workload, metric, policy, spec)
-        wall = time.perf_counter() - start
-        topology = "star"
-        workers = 1
-        del policy
-        gc.collect()
+    gen_start = time.perf_counter()
+    workload = build_workload(wspec)
+    gen_seconds = time.perf_counter() - gen_start
+    spec = RunSpec(warmup=cell.warmup, measure=cell.measure,
+                   seed=cell.seed, replay=cell.replay)
+    policy = CooperativePolicy(
+        ConstantBandwidth(cell.cache_bandwidth),
+        [ConstantBandwidth(cell.source_bandwidth)
+         for _ in range(cell.num_sources)],
+        priority_fn=AreaPriority(),
+        scheduling=cell.scheduling)
+    start = time.perf_counter()
+    result = run_policy(workload, ValueDeviation(), policy, spec)
+    wall = time.perf_counter() - start
+    # The policy's node graph is cyclic (closures back-ref the policy)
+    # and big at m ~ 10^5; drop it and collect *outside* the timed window
+    # so neither its memory pressure nor its collection lands in the next
+    # cell's wall clock.
+    del policy
+    gc.collect()
     return ScalePoint(
         num_sources=cell.num_sources,
         scheduling=cell.scheduling,
@@ -157,8 +139,7 @@ def _run_scale_cell(cell: ScaleCell) -> ScalePoint:
         feedback_messages=result.feedback_messages,
         gen_seconds=gen_seconds,
         replay=cell.replay,
-        workers=workers,
-        topology=topology)
+        refreshes_sent=result.extras["refreshes_sent"])
 
 
 def run_scale(sources: tuple[int, ...] = (100, 1000, 10000),
@@ -170,8 +151,7 @@ def run_scale(sources: tuple[int, ...] = (100, 1000, 10000),
               seed: int = 0,
               max_tick_sources: int = 2000,
               replays: tuple[str, ...] = ("batched",),
-              workers: int = 1,
-              shard_caches: int | None = None) -> list[ScalePoint]:
+              workers: int = 1) -> list[ScalePoint]:
     """Sweep source counts, timing both schedulers on identical workloads.
 
     Above ``max_tick_sources`` only the event scheduler runs (the tick
@@ -180,82 +160,29 @@ def run_scale(sources: tuple[int, ...] = (100, 1000, 10000),
     ``("event", "batched")`` times the per-event replay loop against the
     batched fast path on the same workload (results must agree bit for
     bit; :func:`check_equivalence` covers the whole cross product).
-    Workload generation is timed separately (``gen_seconds``); the
-    benchmark suite tracks it next to the run's wall clock across PRs in
-    ``BENCH_scale.json``.
+    Workload generation is timed separately (``gen_seconds``: each
+    cell's own build, about 0 when it reuses the previous cell's
+    workload); the benchmark suite tracks it next to the run's wall
+    clock across PRs in ``BENCH_scale.json``.
 
-    ``workers`` > 1 fans the sweep's cells over a process pool
-    (:class:`~repro.experiments.parallel.ParallelRunner`); results are
-    merged in cell order and bit-for-bit identical to the serial sweep.
-    ``shard_caches`` = N switches every point to a sharded N-cache
-    topology run shard-parallel (tier 2) with ``workers`` processes *per
-    run* -- the two tiers are not nested, so at most one pool exists.
+    Every cell goes through one
+    :class:`~repro.experiments.parallel.ParallelRunner` map: ``workers``
+    = 1 runs them in-process, ``workers`` > 1 fans them over a process
+    pool; results come back in cell order and are bit-for-bit identical
+    either way.
     """
-    if shard_caches is not None and shard_caches > 1:
-        cells = [
-            ScaleCell(num_sources=m, scheduling="event", replay=replay,
-                      update_rate=update_rate,
-                      cache_bandwidth=cache_bandwidth,
-                      source_bandwidth=source_bandwidth,
-                      warmup=warmup, measure=measure, seed=seed,
-                      shard_caches=shard_caches,
-                      shard_workers=workers)
-            for m in sources for replay in replays
-        ]
-        return [_run_scale_cell(cell) for cell in cells]
-    if workers > 1:
-        cells = [
-            ScaleCell(num_sources=m, scheduling=scheduling, replay=replay,
-                      update_rate=update_rate,
-                      cache_bandwidth=cache_bandwidth,
-                      source_bandwidth=source_bandwidth,
-                      warmup=warmup, measure=measure, seed=seed)
-            for m in sources
-            for scheduling in (("tick", "event") if m <= max_tick_sources
-                               else ("event",))
-            for replay in replays
-        ]
-        return ParallelRunner(workers).map(_run_scale_cell, cells)
-    points: list[ScalePoint] = []
-    metric = ValueDeviation()
-    for m in sources:
-        rng = np.random.default_rng(seed)
-        gen_start = time.perf_counter()
-        workload = sparse_workload(m, warmup + measure, rng,
-                                   update_rate=update_rate)
-        gen_seconds = time.perf_counter() - gen_start
-        schedulings = ("tick", "event") if m <= max_tick_sources \
-            else ("event",)
-        for scheduling in schedulings:
-            for replay in replays:
-                spec = RunSpec(warmup=warmup, measure=measure, seed=seed,
-                               replay=replay)
-                policy = CooperativePolicy(
-                    ConstantBandwidth(cache_bandwidth),
-                    [ConstantBandwidth(source_bandwidth)
-                     for _ in range(m)],
-                    priority_fn=AreaPriority(),
-                    scheduling=scheduling)
-                start = time.perf_counter()
-                result = run_policy(workload, metric, policy, spec)
-                wall = time.perf_counter() - start
-                points.append(ScalePoint(
-                    num_sources=m,
-                    scheduling=scheduling,
-                    wall_seconds=wall,
-                    weighted_divergence=result.weighted_divergence,
-                    refreshes=result.refreshes,
-                    feedback_messages=result.feedback_messages,
-                    gen_seconds=gen_seconds,
-                    replay=replay))
-                # The policy's node graph is cyclic (closures back-ref
-                # the policy) and big at m ~ 10^5; drop it and collect
-                # *outside* the timed window so neither its memory
-                # pressure nor its collection lands in the next point's
-                # wall clock.
-                del policy, result
-                gc.collect()
-    return points
+    cells = [
+        ScaleCell(num_sources=m, scheduling=scheduling, replay=replay,
+                  update_rate=update_rate,
+                  cache_bandwidth=cache_bandwidth,
+                  source_bandwidth=source_bandwidth,
+                  warmup=warmup, measure=measure, seed=seed)
+        for m in sources
+        for scheduling in (("tick", "event") if m <= max_tick_sources
+                           else ("event",))
+        for replay in replays
+    ]
+    return ParallelRunner(workers).map(_run_scale_cell, cells)
 
 
 def speedups(points: list[ScalePoint]) -> dict[int, float]:
@@ -299,15 +226,10 @@ def replay_speedups(points: list[ScalePoint]) -> dict[int, float]:
 
 def check_equivalence(points: list[ScalePoint]) -> bool:
     """True when every (scheduler, replay) run agrees bit-for-bit at
-    every source count.
-
-    Grouped per ``(num_sources, topology)``: a sharded point splits the
-    aggregate bandwidth across shard links, which legitimately changes
-    the measured divergence relative to the star layout.
-    """
-    by_m: dict[tuple[int, str], list[ScalePoint]] = {}
+    every source count."""
+    by_m: dict[int, list[ScalePoint]] = {}
     for p in points:
-        by_m.setdefault((p.num_sources, p.topology), []).append(p)
+        by_m.setdefault(p.num_sources, []).append(p)
     for group in by_m.values():
         first = group[0]
         for p in group[1:]:
@@ -340,7 +262,20 @@ def render_scale(points: list[ScalePoint], title: str) -> str:
         ["sources", "scheduler", "replay", "gen s", "wall s",
          "divergence", "refreshes", "feedback", "speedup"],
         rows, title=title)
-    verdict = ("schedulers agree bit-for-bit"
-               if check_equivalence(points)
-               else "WARNING: scheduler results diverge")
-    return f"{table}\n{verdict}"
+    lines = [table, "schedulers agree bit-for-bit"
+             if check_equivalence(points)
+             else "WARNING: scheduler results diverge"]
+    # The protocol's designed regime drains the cache link; when most
+    # sent refreshes are still queued (or discarded stale) at the end,
+    # the sweep measures a backlog, not synchronization.
+    first: dict[int, ScalePoint] = {}
+    for p in points:
+        first.setdefault(p.num_sources, p)
+    for m, p in first.items():
+        unapplied = p.refreshes_sent - p.refreshes
+        if 2 * unapplied > p.refreshes_sent:
+            lines.append(
+                f"WARNING: E9 regime: {unapplied} of {p.refreshes_sent} "
+                f"refreshes ({100.0 * unapplied / p.refreshes_sent:.1f}%) "
+                f"sent but never applied (m = {m})")
+    return "\n".join(lines)

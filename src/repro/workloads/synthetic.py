@@ -70,41 +70,6 @@ class Workload:
         """Owning source of a global object index (row-major layout)."""
         return int(self.owner[index])
 
-    def shard(self, sources: np.ndarray) -> "Workload":
-        """The sub-workload owned by ``sources``, relabeled ``0..k-1``.
-
-        Slices rates, trace, and weights to the given sources' objects
-        (row-major blocks), renumbering sources and objects monotonically
-        when ``sources`` is ascending -- ascending-id tie-breaks in heaps
-        and wakeup sets then keep their relative order, which is what the
-        shard-parallel ≡ serial equivalence argument relies on (DESIGN.md
-        Sec 11).
-
-        An empty ``sources`` yields a valid empty workload; out-of-range
-        or duplicate source ids are rejected (negative ids would silently
-        wrap under numpy indexing, duplicates would silently break the
-        relabeling bijection).
-        """
-        sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-        if len(sources):
-            if (sources < 0).any() or (sources >= self.num_sources).any():
-                raise ValueError(
-                    f"shard source ids must be in [0, {self.num_sources}), "
-                    f"got {sources.tolist()}")
-            if len(np.unique(sources)) != len(sources):
-                raise ValueError(
-                    f"shard source ids must be unique, "
-                    f"got {sources.tolist()}")
-        ops = self.objects_per_source
-        objects = (sources[:, None] * ops
-                   + np.arange(ops, dtype=np.int64)[None, :]).reshape(-1)
-        return Workload(num_sources=len(sources),
-                        objects_per_source=ops,
-                        rates=self.rates[objects],
-                        trace=self.trace.subset(objects),
-                        weights=self.weights.subset(objects),
-                        horizon=self.horizon)
-
     def read_stream(self, rng: np.random.Generator,
                     read_rate: float | np.ndarray = 1.0) -> ReadTrace:
         """A client read stream matched to this workload's shape.

@@ -63,43 +63,6 @@ class UpdateTrace:
             yield (float(self.times[k]), int(self.object_indices[k]),
                    float(self.values[k]))
 
-    def subset(self, objects: np.ndarray) -> "UpdateTrace":
-        """The sub-trace touching ``objects``, relabeled ``0..k-1``.
-
-        Object ``objects[j]`` becomes local index ``j``; events touching
-        any other object are dropped.  Event order is preserved, so for a
-        time-sorted trace the subset is time-sorted too and relative order
-        between same-timestamp events on surviving objects is unchanged --
-        which is what makes shard-parallel replay bit-identical to the
-        interleaved serial schedule (disjoint shards never interact).
-        Pass ``objects`` in ascending order to keep the relabeling
-        monotone (ascending-id tie-breaks stay ascending locally).
-
-        An empty ``objects`` yields a valid empty trace; out-of-range or
-        duplicate object ids are rejected (negatives would silently wrap
-        into the remap table, duplicates would silently collapse the
-        relabeling to last-wins).
-        """
-        objects = np.atleast_1d(np.asarray(objects, dtype=np.int64))
-        if len(objects):
-            if (objects < 0).any() or (objects >= self.num_objects).any():
-                raise ValueError(
-                    f"subset object ids must be in [0, {self.num_objects}), "
-                    f"got {objects.tolist()}")
-            if len(np.unique(objects)) != len(objects):
-                raise ValueError(
-                    f"subset object ids must be unique, "
-                    f"got {objects.tolist()}")
-        remap = np.full(self.num_objects, -1, dtype=np.int64)
-        remap[objects] = np.arange(len(objects), dtype=np.int64)
-        local = remap[self.object_indices]
-        mask = local >= 0
-        return UpdateTrace(num_objects=len(objects),
-                           times=self.times[mask],
-                           object_indices=local[mask],
-                           values=self.values[mask],
-                           initial_values=self.initial_values[objects])
-
     def updates_per_object(self) -> np.ndarray:
         """Number of updates each object receives over the whole trace."""
         return np.bincount(self.object_indices, minlength=self.num_objects)

@@ -587,33 +587,6 @@ class TestReplicatedLegFaults:
 
 
 class TestShardHardening:
-    def test_empty_shard_is_valid(self):
-        workload = small_workload()
-        empty = workload.shard(np.array([], dtype=np.int64))
-        assert empty.num_sources == 0
-        assert empty.num_objects == 0
-        assert len(empty.trace.times) == 0
-        assert empty.weights.n == 0
-
-    def test_shard_rejects_bad_ids(self):
-        workload = small_workload()
-        with pytest.raises(ValueError, match="in \\[0"):
-            workload.shard(np.array([0, 6]))
-        with pytest.raises(ValueError, match="in \\[0"):
-            workload.shard(np.array([-1]))
-        with pytest.raises(ValueError, match="unique"):
-            workload.shard(np.array([1, 1]))
-
-    def test_subset_rejects_bad_ids(self):
-        trace = small_workload().trace
-        with pytest.raises(ValueError, match="in \\[0"):
-            trace.subset(np.array([trace.num_objects]))
-        with pytest.raises(ValueError, match="unique"):
-            trace.subset(np.array([2, 2]))
-        empty = trace.subset(np.array([], dtype=np.int64))
-        assert empty.num_objects == 0
-        assert len(empty.times) == 0
-
     def test_weight_model_degenerate_sizes(self):
         empty = StaticWeights(np.array([], dtype=float))
         assert empty.n == 0
@@ -626,7 +599,7 @@ class TestShardHardening:
             def weights(self, t):
                 return np.zeros(self.n)
 
-        assert Dummy(0).n == 0  # empty shards are legal
+        assert Dummy(0).n == 0  # empty models are legal
         with pytest.raises(ValueError, match=">= 0"):
             Dummy(-1)
 

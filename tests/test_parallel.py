@@ -1,14 +1,9 @@
-"""Tests for the process-parallel execution layer.
+"""Tests for the process-parallel sweep fan-out.
 
-Two properties are pinned here:
-
-* **Tier 1 determinism** -- a sweep fanned over worker processes is
-  bit-for-bit identical to the serial loop (fig4 grid, E9 scale sweep,
-  E10 read sweep, multicache sweep), because every cell regenerates its
-  workload from a seed instead of receiving pickled state.
-* **Tier 2 equivalence** -- a sharded-topology cooperative run executed
-  shard-per-worker with feedback-window barriers merges to the exact
-  ``RunResult`` the serial interleaved simulation produces.
+The property pinned here: a sweep fanned over worker processes is
+bit-for-bit identical to the serial loop (fig4 grid, E9 scale sweep,
+E10 read sweep, multicache sweep), because every cell regenerates its
+workload from a seed instead of receiving pickled state.
 """
 
 import dataclasses
@@ -16,8 +11,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.divergence import ValueDeviation
-from repro.core.priority import AreaPriority
 from repro.experiments.fig4 import Fig4Config, run_fig4
 from repro.experiments.multicache import run_multicache
 from repro.experiments.parallel import (
@@ -26,16 +19,9 @@ from repro.experiments.parallel import (
     build_workload,
     default_workers,
     rng_probe,
-    run_cooperative_sharded,
-    shard_sources,
 )
 from repro.experiments.readmodel import run_readmodel
-from repro.experiments.runner import RunSpec, run_policy
 from repro.experiments.scale import run_scale
-from repro.network.bandwidth import ConstantBandwidth
-from repro.network.topology import TopologyConfig
-from repro.policies.cooperative import CooperativePolicy
-from repro.workloads.hotspot import hotspot_shards
 from repro.workloads.synthetic import uniform_random_walk
 
 
@@ -90,65 +76,6 @@ class TestWorkloadSpec:
                               objects_per_source=2, horizon=50.0))
 
 
-def _sharded_fixture(num_caches: int):
-    """A small hot-shard run: (workload spec, metric, run spec, profiles)."""
-    num_sources = 8
-    wspec = WorkloadSpec.make(hotspot_shards, 3, num_sources=num_sources,
-                              objects_per_source=4, horizon=250.0)
-    spec = RunSpec(warmup=50.0, measure=200.0, seed=3,
-                   topology=TopologyConfig(kind="sharded",
-                                           num_caches=num_caches))
-    cache_bw = ConstantBandwidth(16.0)
-    source_bws = [ConstantBandwidth(3.0) for _ in range(num_sources)]
-    return wspec, ValueDeviation(), spec, cache_bw, source_bws
-
-
-class TestShardParallelEquivalence:
-    @pytest.mark.parametrize("num_caches", [2, 4])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_matches_serial_run(self, num_caches, workers):
-        wspec, metric, spec, cache_bw, source_bws = \
-            _sharded_fixture(num_caches)
-        merged = run_cooperative_sharded(wspec, metric, spec, cache_bw,
-                                         source_bws, workers=workers)
-        serial = run_policy(
-            build_workload(wspec), metric,
-            CooperativePolicy(cache_bw, list(source_bws),
-                              priority_fn=AreaPriority()),
-            spec)
-        assert merged.weighted_divergence == serial.weighted_divergence
-        assert merged.unweighted_divergence == serial.unweighted_divergence
-        assert merged.duration == serial.duration
-        assert merged.refreshes == serial.refreshes
-        assert merged.feedback_messages == serial.feedback_messages
-        assert merged.messages_total == serial.messages_total
-        assert (merged.extras["mean_threshold"]
-                == serial.extras["mean_threshold"])
-        assert (merged.extras["cache_queue_peak"]
-                == serial.extras["cache_queue_peak"])
-
-    def test_requires_sharded_topology(self):
-        wspec, metric, spec, cache_bw, source_bws = _sharded_fixture(2)
-        star = dataclasses.replace(spec, topology=None)
-        with pytest.raises(ValueError):
-            run_cooperative_sharded(wspec, metric, star, cache_bw,
-                                    source_bws)
-
-    def test_shards_partition_the_sources(self):
-        config = TopologyConfig(kind="sharded", num_caches=3)
-        shards = [shard_sources(config, 10, k) for k in range(3)]
-        merged = sorted(j for shard in shards for j in shard)
-        assert merged == list(range(10))
-
-    def test_reports_window_barrier_telemetry(self):
-        wspec, metric, spec, cache_bw, source_bws = _sharded_fixture(2)
-        merged = run_cooperative_sharded(wspec, metric, spec, cache_bw,
-                                         source_bws)
-        windows = merged.extras["shard_windows"]
-        assert len(windows) == 2
-        assert all(w >= 1 for w in windows)
-
-
 class TestSweepDeterminism:
     def test_fig4_parallel_matches_serial(self):
         config = Fig4Config(sources=(1, 4), objects_per_source=(2,),
@@ -176,13 +103,5 @@ class TestSweepDeterminism:
         parallel = run_scale(workers=4, **kwargs)
         serial = run_scale(**kwargs)
         strip = lambda p: dataclasses.replace(p, wall_seconds=0.0,
-                                              gen_seconds=0.0, workers=1)
+                                              gen_seconds=0.0)
         assert [strip(p) for p in parallel] == [strip(p) for p in serial]
-
-    def test_scale_sharded_mode_runs_and_tags_points(self):
-        points = run_scale(sources=(60,), warmup=50.0, measure=100.0,
-                           shard_caches=2, workers=2)
-        assert len(points) == 1
-        assert points[0].topology == "sharded-2"
-        assert points[0].workers == 2
-        assert points[0].scheduling == "event"

@@ -202,61 +202,6 @@ class TestScaledBandwidthDelegation:
 
 
 # ----------------------------------------------------------------------
-# Satellite 4: shard/subset migration round-trips
-# ----------------------------------------------------------------------
-class TestShardSubsetRoundTrip:
-    def test_reshard_preserves_event_order(self):
-        """Splitting a workload into disjoint shards and replaying them
-        against the original stream consumes every event exactly once,
-        in order -- the property a migration re-slice relies on."""
-        workload = small_workload(num_sources=6, objects_per_source=2,
-                                  horizon=60.0, seed=7)
-        groups = [np.array([0, 3]), np.array([1, 4]), np.array([2, 5])]
-        shards = [workload.shard(g) for g in groups]
-        cursors = [0] * len(groups)
-        ops = workload.objects_per_source
-        for time, index, value in workload.trace:
-            source = index // ops
-            g = next(i for i, grp in enumerate(groups) if source in grp)
-            shard, k = shards[g], cursors[g]
-            assert float(shard.trace.times[k]) == time
-            local_src = int(np.where(groups[g] == source)[0][0])
-            local = local_src * ops + index % ops
-            assert int(shard.trace.object_indices[k]) == local
-            assert float(shard.trace.values[k]) == value
-            cursors[g] += 1
-        assert cursors == [len(s.trace) for s in shards]
-
-    def test_full_subset_is_identity(self):
-        workload = small_workload(num_sources=4, objects_per_source=2,
-                                  horizon=40.0, seed=1)
-        whole = workload.shard(np.arange(4))
-        np.testing.assert_array_equal(whole.trace.times,
-                                      workload.trace.times)
-        np.testing.assert_array_equal(whole.trace.object_indices,
-                                      workload.trace.object_indices)
-        np.testing.assert_array_equal(whole.trace.values,
-                                      workload.trace.values)
-
-    def test_empty_shard_is_valid_and_empty(self):
-        workload = small_workload(num_sources=4, objects_per_source=2)
-        empty = workload.shard(np.array([], dtype=np.int64))
-        assert empty.num_sources == 0
-        assert len(empty.trace) == 0
-
-    def test_overlapping_and_out_of_range_raise(self):
-        workload = small_workload(num_sources=4, objects_per_source=2)
-        with pytest.raises(ValueError):
-            workload.shard(np.array([1, 1]))
-        with pytest.raises(ValueError):
-            workload.shard(np.array([4]))
-        with pytest.raises(ValueError):
-            workload.trace.subset(np.array([0, 0]))
-        with pytest.raises(ValueError):
-            workload.trace.subset(np.array([-1]))
-
-
-# ----------------------------------------------------------------------
 # Feedback controller: source remove / add lifecycle
 # ----------------------------------------------------------------------
 class TestFeedbackSourceLifecycle:

@@ -49,6 +49,17 @@ class TestRunScale:
         text = render_scale(points, "tiny sweep")
         assert "tiny sweep" in text
         assert "bit-for-bit" in text
+        # The default m = 15 run drains its queue: no regime warning.
+        (point,) = run_scale(sources=(15,), max_tick_sources=0)
+        assert (point.refreshes_sent, point.refreshes) == (22, 22)
+        assert "E9 regime" not in render_scale([point], "drained")
+        # A starved cache link leaves nearly every refresh queued.
+        (point,) = run_scale(sources=(2000,), cache_bandwidth=0.5,
+                             update_rate=0.01, max_tick_sources=0)
+        text = render_scale([point], "backlogged")
+        assert ("WARNING: E9 regime: 11514 of 11814 refreshes (97.5%) "
+                "sent but never applied") in text
+        assert "bit-for-bit" in text
 
 
 class TestCheckEquivalence:
